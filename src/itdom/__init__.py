@@ -40,9 +40,9 @@ from .catalog import (
     canonical_graph6,
     enumerate_connected_graphs,
     enumerate_graphs,
-    raw_connected_sweep,
 )
 from .invariants import (
+    InvariantCache,
     InvariantReport,
     OmegaCapError,
     OmegaFamily,
@@ -64,7 +64,6 @@ from .oracle import ORACLE_IDS, OracleLimitError, naive_oracle
 from .theorems import (
     CharacterizationResult,
     ExtremalResult,
-    InvariantCache,
     PROVEN_IDS,
     REFUTABLE_IDS,
     SEARCH_MODES,

@@ -12,12 +12,14 @@ from dataclasses import dataclass
 from functools import lru_cache
 from itertools import combinations_with_replacement, product
 
-from .graphs import Graph, disjoint_union, encode_graph6, is_connected, iter_bits
+from .graphs import Graph, disjoint_union, encode_graph6, iter_bits
 
 CANONICAL_MAX_ORDER = 9
 CATALOG_MAX_ORDER = 7
 
+# Catalog sizes, OEIS A001349 (connected graphs) and A000088 (all graphs).
 CONNECTED_COUNTS = {1: 1, 2: 1, 3: 2, 4: 6, 5: 21, 6: 112, 7: 853}
+ALL_COUNTS = {1: 1, 2: 2, 3: 4, 4: 11, 5: 34, 6: 156, 7: 1044}
 
 
 @dataclass(frozen=True)
@@ -183,23 +185,3 @@ def enumerate_graphs(n: int) -> tuple[CatalogEntry, ...]:
     assert len({e.graph6 for e in entries}) == len(entries)
     return tuple(entries)
 
-
-def raw_connected_sweep(n: int) -> tuple[CatalogEntry, ...]:
-    """Independent enumeration oracle: sweep all edge masks and dedup.
-
-    Exponential in n*(n-1)/2; intended for cross-checking the incremental
-    generator at small orders only.
-    """
-    if not 1 <= n <= 5:
-        raise ValueError("raw sweep is limited to n <= 5")
-    pairs = [(i, j) for j in range(1, n) for i in range(j)]
-    out: dict[tuple[int, ...], CatalogEntry] = {}
-    for mask in range(1 << len(pairs)):
-        edges = [pairs[k] for k in range(len(pairs)) if (mask >> k) & 1]
-        g = Graph(n, edges)
-        if not is_connected(g):
-            continue
-        cols, _ = _canonical_cols(g.adj, n)
-        if cols not in out:
-            out[cols] = _entry_from_cols(cols, n)
-    return tuple(out[key] for key in sorted(out))

@@ -19,7 +19,8 @@ from concurrent.futures import ProcessPoolExecutor
 from pathlib import Path
 
 from . import __version__
-from .catalog import CATALOG_MAX_ORDER, enumerate_connected_graphs, enumerate_graphs
+from .catalog import ALL_COUNTS, CATALOG_MAX_ORDER, CONNECTED_COUNTS
+from .catalog import enumerate_connected_graphs, enumerate_graphs
 from .graphs import (
     EdgeListError,
     Graph,
@@ -31,17 +32,8 @@ from .graphs import (
     parse_graph6,
     petersen,
 )
-from .invariants import InvariantReport, SolverLimitError, compute_report
-from .oracle import OracleLimitError
-from .theorems import (
-    InvariantCache,
-    SEARCH_MODES,
-    THEOREMS,
-    Status,
-    check,
-    figure1_graph,
-    search_extremal,
-)
+from .invariants import InvariantCache, InvariantReport, SolverLimitError, compute_report
+from .theorems import SEARCH_MODES, THEOREMS, Status, check, figure1_graph, search_extremal
 
 COMMAND_MAX_ORDER = 20
 CATALOG_CACHE_VERSION = 1
@@ -103,19 +95,24 @@ def _catalog_cache_path(n: int, connected: bool) -> Path:
 
 
 def catalog_lines(n: int, connected: bool = True, use_cache: bool = True) -> list[str]:
-    """Canonical graph6 lines for the order-n catalog, cached on disk."""
+    """Canonical graph6 lines for the order-n catalog, cached on disk.
+
+    A cached file is used only when it holds the known number of order-n
+    graphs; a truncated, stale or corrupt one is regenerated.
+    """
     path = _catalog_cache_path(n, connected)
     if use_cache and path.is_file():
         lines = [ln for ln in path.read_text().splitlines() if ln]
+        expected = (CONNECTED_COUNTS if connected else ALL_COUNTS).get(n)
         try:
-            if lines and all(parse_graph6(ln).n == n for ln in lines):
+            if len(lines) == expected and all(parse_graph6(ln).n == n for ln in lines):
                 return lines
         except Graph6Error:
-            pass  # stale or corrupt cache: regenerate below
+            pass  # corrupt cache: regenerate below
     entries = enumerate_connected_graphs(n) if connected else enumerate_graphs(n)
     lines = [entry.graph6 for entry in entries]
     path.parent.mkdir(parents=True, exist_ok=True)
-    tmp = path.with_suffix(".tmp")
+    tmp = path.with_suffix(f".{os.getpid()}.tmp")  # no clash between processes
     tmp.write_text("\n".join(lines) + "\n")
     tmp.replace(path)
     return lines
@@ -154,21 +151,20 @@ def _invariants_task(g6: str) -> dict:
     }
 
 
-def _verify_task(item: tuple[str, tuple[str, ...]]) -> dict:
-    g6, ids = item
-    g = parse_graph6(g6)
-    cache = InvariantCache(g)
+def _verdicts(g: Graph, cache: InvariantCache, ids: tuple[str, ...]) -> list[dict]:
     verdicts = []
     for tid in ids:
         verdict = check(tid, g, cache)
         verdicts.append(
-            {
-                "theorem": tid,
-                "status": verdict.status.value,
-                "witness": verdict.witness,
-            }
+            {"theorem": tid, "status": verdict.status.value, "witness": verdict.witness}
         )
-    return {"graph6": g6, "n": g.n, "verdicts": verdicts}
+    return verdicts
+
+
+def _verify_task(item: tuple[str, tuple[str, ...]]) -> dict:
+    g6, ids = item
+    g = parse_graph6(g6)
+    return {"graph6": g6, "n": g.n, "verdicts": _verdicts(g, InvariantCache(g), ids)}
 
 
 def _map_tasks(fn, items, jobs: int):
@@ -288,25 +284,15 @@ def _cmd_counterexamples(args: argparse.Namespace, command: str) -> int:
     ]
     entries = []
     for name, g, ids in named:
-        g6 = encode_graph6(g)
         cache = InvariantCache(g)
-        report = compute_report(g)
-        values, _ = _report_to_json(report)
-        verdicts = [
-            {
-                "theorem": tid,
-                "status": check(tid, g, cache).status.value,
-                "witness": check(tid, g, cache).witness,
-            }
-            for tid in ids
-        ]
+        values, _ = _report_to_json(cache.report())
         entries.append(
             {
                 "name": name,
-                "graph6": g6,
+                "graph6": encode_graph6(g),
                 "n": g.n,
                 "invariants": values,
-                "verdicts": verdicts,
+                "verdicts": _verdicts(g, cache, ids),
             }
         )
     entries.sort(key=lambda e: e["graph6"])
@@ -412,7 +398,7 @@ def main(argv: list[str] | None = None) -> int:
     started = time.perf_counter()
     try:
         code = args.handler(args, command)
-    except (Graph6Error, EdgeListError, KeyError, ValueError, OracleLimitError) as exc:
+    except (Graph6Error, EdgeListError, KeyError, ValueError) as exc:
         message = exc.args[0] if exc.args else str(exc)
         print(f"error: {message}", file=sys.stderr)
         return EXIT_USAGE

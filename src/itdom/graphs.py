@@ -10,8 +10,6 @@ from typing import Iterable, Iterator, NamedTuple, Sequence
 
 MAX_ORDER = 64
 
-NAMED_FAMILIES = ("path", "cycle", "complete", "complete_bipartite", "star", "petersen")
-
 
 class Graph6Error(ValueError):
     """Malformed graph6 text or an encoding request the format cannot express."""

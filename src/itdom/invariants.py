@@ -1,17 +1,24 @@
 """Exact solvers for independence, matching, domination and transversal invariants.
 
-Every minimum-set search walks candidate sizes upward from a proven lower
-bound and enumerates fixed-size vertex sets in increasing bitmask order
-(Gosper's hack), so the first feasible set is simultaneously the optimum
-value witness and the lexicographically least optimum.
+Every minimum-set invariant here is a minimum hitting set of a family of
+vertex sets: ``gamma`` of the closed neighbourhoods N[v], ``gamma_t`` of the
+open neighbourhoods N(v), ``tau_i`` of the maximum independent sets Omega,
+``gamma_it`` of {N[v]} + Omega and ``gamma_tt`` of {N(v)} + Omega.  One
+branch-and-bound kernel (``_min_hitting_size``) finds every value, and one
+enumerator (``_hitting_sets``) lists the optimal sets in increasing bitmask
+order, so each reported witness is the least optimum by mask value.
+``InvariantCache`` is the single evaluator: it computes each invariant of a
+graph at most once, and the public functions and ``compute_report`` read it.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
+from itertools import accumulate
 from typing import Iterator, Sequence
 
-from .graphs import Bipartition, Graph, bipartition, iter_bits, members
+from .graphs import Bipartition, Graph, bipartition, is_connected, iter_bits
 
 DEFAULT_OMEGA_CAP = 1_000_000
 
@@ -53,22 +60,6 @@ class InvariantReport:
 def _require_vertices(g: Graph) -> None:
     if g.n < 1:
         raise ValueError("invariant is undefined for the order-0 graph")
-
-
-def _ksubsets(n: int, k: int) -> Iterator[int]:
-    """All k-subsets of [0, n) as bitmasks in increasing numeric order."""
-    if k == 0:
-        yield 0
-        return
-    if k > n:
-        return
-    mask = (1 << k) - 1
-    top = 1 << n
-    while mask < top:
-        yield mask
-        low = mask & -mask
-        ripple = mask + low
-        mask = (((ripple ^ mask) >> 2) // low) | ripple
 
 
 def omega(g: Graph, max_sets: int = DEFAULT_OMEGA_CAP) -> OmegaFamily:
@@ -118,55 +109,87 @@ def omega(g: Graph, max_sets: int = DEFAULT_OMEGA_CAP) -> OmegaFamily:
 
 
 # ---------------------------------------------------------------------------
-# Matching
+# Minimum hitting sets
 # ---------------------------------------------------------------------------
 
 
-def _hopcroft_karp(g: Graph, bip: Bipartition) -> int:
-    """Maximum matching size in a bipartite graph via layered augmenting paths."""
-    left = members(bip.x)
-    inf = g.n + 1
-    match = [-1] * g.n
-    dist = {}
+def _incidence(sets: Sequence[int], n: int) -> list[int]:
+    """hits[v] for v < n: the bitmask of indices of the sets containing v."""
+    hits = [0] * n
+    for i, s in enumerate(sets):
+        bit = 1 << i
+        for v in iter_bits(s):
+            hits[v] |= bit
+    return hits
 
-    def bfs() -> bool:
-        queue = []
-        for u in left:
-            if match[u] == -1:
-                dist[u] = 0
-                queue.append(u)
-            else:
-                dist[u] = inf
-        found = False
-        head = 0
-        while head < len(queue):
-            u = queue[head]
-            head += 1
-            for v in iter_bits(g.adj[u]):
-                w = match[v]
-                if w == -1:
-                    found = True
-                elif dist[w] == inf:
-                    dist[w] = dist[u] + 1
-                    queue.append(w)
-        return found
 
-    def dfs(u: int) -> bool:
-        for v in iter_bits(g.adj[u]):
-            w = match[v]
-            if w == -1 or (dist[w] == dist[u] + 1 and dfs(w)):
-                match[u] = v
-                match[v] = u
+def _min_hitting_size(sets: Sequence[int], low: int = 0) -> int:
+    """Least size of a vertex set meeting every (nonempty) set in ``sets``.
+
+    Branch and bound on the first unhit set, over a bitmask of unhit set
+    indices.  The greedy most-frequent-vertex cover is the first upper
+    bound; a branch is cut when ``count + ceil(#unhit / widest)`` cannot
+    beat it, ``widest`` being the most sets one vertex meets.  ``low`` is a
+    known lower bound: the search stops once a hitting set of that size is
+    found.
+    """
+    hits = _incidence(sets, max(sets, default=0).bit_length())
+    widest = max((h.bit_count() for h in hits), default=1)
+    everything = (1 << len(sets)) - 1
+    unhit = everything
+    best = 0
+    while unhit:
+        pick = max(hits, key=lambda h: (h & unhit).bit_count())
+        if not pick & unhit:
+            raise ValueError("an empty set cannot be hit")
+        unhit &= ~pick
+        best += 1
+
+    def search(unhit: int, count: int) -> bool:
+        """Improve ``best`` below this node; True once ``low`` is reached."""
+        nonlocal best
+        if not unhit:
+            best = count
+            return count <= low
+        if count - (-unhit.bit_count() // widest) >= best:
+            return False
+        first = (unhit & -unhit).bit_length() - 1
+        for v in iter_bits(sets[first]):
+            if search(unhit & ~hits[v], count + 1):
                 return True
-        dist[u] = inf
         return False
 
-    size = 0
-    while bfs():
-        for u in left:
-            if match[u] == -1 and dfs(u):
-                size += 1
-    return size
+    if best > low:
+        search(everything, 0)
+    return best
+
+
+def _hitting_sets(sets: Sequence[int], k: int, below: int) -> Iterator[int]:
+    """Every k-subset of [0, below) meeting all ``sets``, in increasing bitmask order.
+
+    The highest element is chosen first, in ascending order, then the rest
+    below it the same way; a branch is cut as soon as some unhit set has no
+    element left below the next choice.  ``sets`` must lie inside [0, below).
+    """
+    hits = _incidence(sets, below)
+    # stranded[t] & unhit: the unhit sets with no element <= t.
+    stranded = [~seen for seen in accumulate(hits, int.__or__)]
+
+    def extend(unhit: int, k: int, below: int, chosen: int) -> Iterator[int]:
+        if k == 0:
+            if not unhit:
+                yield chosen
+            return
+        for t in range(k - 1, below):
+            if not unhit & stranded[t]:
+                yield from extend(unhit & ~hits[t], k - 1, t, chosen | 1 << t)
+
+    return extend((1 << len(sets)) - 1, k, below, 0)
+
+
+# ---------------------------------------------------------------------------
+# Matching
+# ---------------------------------------------------------------------------
 
 
 def _matching_branch_bound(g: Graph, avail: int, memo: dict[int, int]) -> int:
@@ -192,12 +215,7 @@ def _matching_branch_bound(g: Graph, avail: int, memo: dict[int, int]) -> int:
 
 
 def matching_number(g: Graph) -> int:
-    """Maximum matching size; augmenting paths when bipartite, else branch and bound."""
-    if g.n == 0:
-        return 0
-    bip = bipartition(g)
-    if bip is not None:
-        return _hopcroft_karp(g, bip)
+    """Maximum matching size by memoized branch and bound."""
     return _matching_branch_bound(g, g.full_mask, {})
 
 
@@ -224,247 +242,195 @@ def maximum_matching(g: Graph) -> list[tuple[int, int]]:
 
 
 # ---------------------------------------------------------------------------
-# Domination
+# The evaluator
 # ---------------------------------------------------------------------------
 
 
-def _dominates(closed: Sequence[int], full: int, s: int) -> bool:
-    cover = 0
-    for v in iter_bits(s):
-        cover |= closed[v]
-    return cover == full
+class InvariantCache:
+    """Lazily computed invariants of one graph, each computed at most once.
+
+    This is the only place an invariant value is computed: the theorem
+    checks share one instance per graph, and ``compute_report`` and the
+    public solver functions below read a fresh one.
+    """
+
+    def __init__(self, g: Graph) -> None:
+        self.g = g
+
+    @cached_property
+    def family(self) -> OmegaFamily:
+        return omega(self.g)
+
+    @cached_property
+    def alpha(self) -> int:
+        return self.family.alpha
+
+    @cached_property
+    def beta(self) -> int:
+        return self.g.n - self.alpha
+
+    @cached_property
+    def matching(self) -> int:
+        return matching_number(self.g)
+
+    @cached_property
+    def closed(self) -> list[int]:
+        return [self.g.closed(v) for v in range(self.g.n)]
+
+    @cached_property
+    def gamma(self) -> int:
+        return _min_hitting_size(self.closed)
+
+    @cached_property
+    def tau(self) -> int:
+        return _min_hitting_size(self.family.sets)
+
+    @cached_property
+    def core(self) -> int:
+        core = self.g.full_mask
+        for s in self.family.sets:
+            core &= s
+        return core
+
+    @cached_property
+    def xi(self) -> int:
+        return self.core.bit_count()
+
+    @cached_property
+    def gamma_it(self) -> int:
+        sets = [*self.closed, *self.family.sets]
+        return _min_hitting_size(sets, max(self.gamma, self.tau))
+
+    @cached_property
+    def gamma_t(self) -> int | None:
+        return None if self.has_isolated else _min_hitting_size(self.g.adj, 2)
+
+    @cached_property
+    def gamma_tt(self) -> int | None:
+        if self.has_isolated:
+            return None
+        return _min_hitting_size([*self.g.adj, *self.family.sets], max(2, self.tau))
+
+    @cached_property
+    def bip(self) -> Bipartition | None:
+        return bipartition(self.g)
+
+    @cached_property
+    def connected(self) -> bool:
+        return is_connected(self.g)
+
+    @cached_property
+    def has_isolated(self) -> bool:
+        return bool(self.g.isolated())
+
+    # Witness key -> (the sets its optimal sets hit, the optimum size).
+    _HITTING = {
+        "gamma": lambda c: (c.closed, c.gamma),
+        "tau_i": lambda c: (c.family.sets, c.tau),
+        "gamma_it": lambda c: ([*c.closed, *c.family.sets], c.gamma_it),
+        "gamma_t": lambda c: (c.g.adj, c.gamma_t),
+        "gamma_tt": lambda c: ([*c.g.adj, *c.family.sets], c.gamma_tt),
+    }
+
+    def optima(self, key: str) -> Iterator[int]:
+        """Every optimal set of one ``_HITTING`` invariant, in increasing bitmask order."""
+        sets, size = self._HITTING[key](self)
+        return iter(()) if size is None else _hitting_sets(sets, size, self.g.n)
+
+    def witnesses(self) -> dict[str, int | None]:
+        """One optimal vertex mask per invariant: the least one by mask value
+        for the hitting-set invariants, the complement of the ``alpha``
+        witness for ``beta``, and the vertices covered by the
+        lexicographically first maximum matching for ``matching``."""
+        matched = 0
+        for u, v in maximum_matching(self.g):
+            matched |= (1 << u) | (1 << v)
+        first = self.family.sets[0]
+        fixed = {"alpha": first, "beta": self.g.full_mask & ~first, "matching": matched}
+        return fixed | {key: next(self.optima(key), None) for key in self._HITTING}
+
+    def report(self) -> InvariantReport:
+        """Every invariant with its witness; the matching size is read off
+        the matching witness, so only one matching search runs."""
+        witnesses = self.witnesses()
+        return InvariantReport(
+            n=self.g.n,
+            alpha=self.alpha,
+            beta=self.beta,
+            matching=witnesses["matching"].bit_count() // 2,
+            gamma=self.gamma,
+            tau_i=self.tau,
+            xi=self.xi,
+            gamma_it=self.gamma_it,
+            gamma_t=self.gamma_t,
+            gamma_tt=self.gamma_tt,
+            core=self.core,
+            witnesses=witnesses,
+        )
+
+
+def _evaluator(g: Graph, family: OmegaFamily | None = None) -> InvariantCache:
+    """A fresh evaluator, seeded with an already computed Omega family."""
+    _require_vertices(g)
+    cache = InvariantCache(g)
+    if family is not None:
+        cache.family = family
+    return cache
+
+
+# ---------------------------------------------------------------------------
+# Public solver functions
+# ---------------------------------------------------------------------------
 
 
 def domination_number(g: Graph) -> int:
-    """Minimum dominating set size via branch and bound on an undominated vertex."""
-    _require_vertices(g)
-    full = g.full_mask
-    closed = [g.closed(v) for v in range(g.n)]
-    max_cover = max(c.bit_count() for c in closed)
-
-    # Greedy max-coverage upper bound.
-    dominated = 0
-    best = 0
-    while dominated != full:
-        pick = max(range(g.n), key=lambda v: (closed[v] & ~dominated).bit_count())
-        dominated |= closed[pick]
-        best += 1
-
-    def search(dominated: int, count: int) -> None:
-        nonlocal best
-        if dominated == full:
-            best = min(best, count)
-            return
-        missing = (full & ~dominated).bit_count()
-        if count + (missing + max_cover - 1) // max_cover >= best:
-            return
-        v = ((full & ~dominated) & -(full & ~dominated)).bit_length() - 1
-        for u in iter_bits(closed[v]):
-            search(dominated | closed[u], count + 1)
-
-    search(0, 0)
-    return best
+    """Minimum dominating set size."""
+    return _evaluator(g).gamma
 
 
 def domination_sets(g: Graph) -> tuple[int, tuple[int, ...]]:
     """The domination number together with every minimum dominating set."""
-    gamma = domination_number(g)
-    full = g.full_mask
-    closed = [g.closed(v) for v in range(g.n)]
-    sets = tuple(
-        s for s in _ksubsets(g.n, gamma) if _dominates(closed, full, s)
-    )
-    return gamma, sets
+    cache = _evaluator(g)
+    return cache.gamma, tuple(cache.optima("gamma"))
 
 
 def core_and_xi(g: Graph, family: OmegaFamily | None = None) -> tuple[int, int]:
     """Intersection of all maximum independent sets and its cardinality."""
-    family = family if family is not None else omega(g)
-    core = g.full_mask
-    for s in family.sets:
-        core &= s
-    return core, core.bit_count()
-
-
-# ---------------------------------------------------------------------------
-# Transversals
-# ---------------------------------------------------------------------------
-
-
-def _min_hitting_size(sets: Sequence[int]) -> int:
-    """Exact minimum hitting set size by branching on the first unhit set."""
-    best = 0
-    remaining = list(sets)
-    used = 0
-    # Greedy most-frequent-vertex upper bound.
-    while remaining:
-        counts: dict[int, int] = {}
-        for s in remaining:
-            for v in iter_bits(s):
-                counts[v] = counts.get(v, 0) + 1
-        pick = max(sorted(counts), key=lambda v: counts[v])
-        used |= 1 << pick
-        remaining = [s for s in remaining if not (s >> pick) & 1]
-        best += 1
-
-    def search(unhit: tuple[int, ...], depth: int) -> None:
-        nonlocal best
-        if not unhit:
-            best = min(best, depth)
-            return
-        if depth + 1 >= best:
-            return
-        first = unhit[0]
-        rest = unhit[1:]
-        for v in iter_bits(first):
-            search(tuple(s for s in rest if not (s >> v) & 1), depth + 1)
-
-    search(tuple(sets), 0)
-    return best
+    cache = _evaluator(g, family)
+    return cache.core, cache.xi
 
 
 def tau_i(g: Graph, family: OmegaFamily | None = None) -> int:
     """Minimum size of a set meeting every maximum independent set."""
-    _require_vertices(g)
-    family = family if family is not None else omega(g)
-    return _min_hitting_size(family.sets)
-
-
-def _transversal_witness(g: Graph, family: OmegaFamily, size: int) -> int:
-    for s in _ksubsets(g.n, size):
-        if all(s & i for i in family.sets):
-            return s
-    raise AssertionError("no transversal at the computed optimum size")
+    return _evaluator(g, family).tau
 
 
 def gamma_it(g: Graph, family: OmegaFamily | None = None) -> tuple[int, int]:
     """Minimum dominating set meeting every maximum independent set.
 
     Returns (value, witness); the witness is the least optimum by bitmask
-    value.  The size loop starts at max(gamma, tau_i) and, for graphs
-    without isolated vertices, cannot pass beta + 1.
+    value.
     """
-    _require_vertices(g)
-    family = family if family is not None else omega(g)
-    full = g.full_mask
-    closed = [g.closed(v) for v in range(g.n)]
-    low = max(domination_number(g), _min_hitting_size(family.sets))
-    high = g.n if g.isolated() else min(g.n, (g.n - family.alpha) + 1)
-    for k in range(low, high + 1):
-        for s in _ksubsets(g.n, k):
-            if _dominates(closed, full, s) and all(s & i for i in family.sets):
-                return k, s
-    raise AssertionError("no independent transversal dominating set found")
+    cache = _evaluator(g, family)
+    return cache.gamma_it, next(cache.optima("gamma_it"))
 
 
 def gamma_it_sets(g: Graph, family: OmegaFamily | None = None) -> tuple[int, tuple[int, ...]]:
     """The optimum value together with every optimal witness."""
-    family = family if family is not None else omega(g)
-    value, _ = gamma_it(g, family)
-    full = g.full_mask
-    closed = [g.closed(v) for v in range(g.n)]
-    sets = tuple(
-        s
-        for s in _ksubsets(g.n, value)
-        if _dominates(closed, full, s) and all(s & i for i in family.sets)
-    )
-    return value, sets
-
-
-# ---------------------------------------------------------------------------
-# Total domination
-# ---------------------------------------------------------------------------
-
-
-def _totally_dominates(g: Graph, s: int) -> bool:
-    cover = 0
-    for v in iter_bits(s):
-        cover |= g.adj[v]
-    return cover == g.full_mask
+    cache = _evaluator(g, family)
+    return cache.gamma_it, tuple(cache.optima("gamma_it"))
 
 
 def gamma_t(g: Graph) -> int | None:
     """Minimum total dominating set size; None when an isolated vertex exists."""
-    if g.n == 0 or g.isolated():
-        return None
-    for k in range(2, g.n + 1):
-        for s in _ksubsets(g.n, k):
-            if _totally_dominates(g, s):
-                return k
-    raise AssertionError("no total dominating set found")
+    return None if g.n == 0 else _evaluator(g).gamma_t
 
 
 def gamma_tt(g: Graph, family: OmegaFamily | None = None) -> int | None:
     """Minimum total dominating set meeting every maximum independent set."""
-    if g.n == 0 or g.isolated():
-        return None
-    family = family if family is not None else omega(g)
-    low = max(2, _min_hitting_size(family.sets))
-    for k in range(low, g.n + 1):
-        for s in _ksubsets(g.n, k):
-            if _totally_dominates(g, s) and all(s & i for i in family.sets):
-                return k
-    raise AssertionError("no independent transversal total dominating set found")
-
-
-def _total_witness(g: Graph, family: OmegaFamily | None, size: int) -> int:
-    for s in _ksubsets(g.n, size):
-        if _totally_dominates(g, s) and (
-            family is None or all(s & i for i in family.sets)
-        ):
-            return s
-    raise AssertionError("no witness at the computed optimum size")
-
-
-# ---------------------------------------------------------------------------
-# Full report
-# ---------------------------------------------------------------------------
+    return None if g.n == 0 else _evaluator(g, family).gamma_tt
 
 
 def compute_report(g: Graph) -> InvariantReport:
     """Compute every invariant and a deterministic witness for each."""
-    _require_vertices(g)
-    family = omega(g)
-    alpha = family.alpha
-    beta = g.n - alpha
-    match_edges = maximum_matching(g)
-    matching = matching_number(g)
-    assert matching == len(match_edges)
-    gamma, gamma_list = domination_sets(g)
-    core, xi = core_and_xi(g, family)
-    tau = tau_i(g, family)
-    git_value, git_witness = gamma_it(g, family)
-    gt = gamma_t(g)
-    gtt = gamma_tt(g, family)
-
-    assert alpha + beta == g.n
-    assert max(gamma, tau) <= git_value
-    assert (gt is None) == bool(g.isolated() or g.n == 0)
-
-    matched = 0
-    for u, v in match_edges:
-        matched |= (1 << u) | (1 << v)
-    witnesses: dict[str, int | None] = {
-        "alpha": family.sets[0],
-        "beta": g.full_mask & ~family.sets[0],
-        "matching": matched,
-        "gamma": gamma_list[0],
-        "tau_i": _transversal_witness(g, family, tau),
-        "gamma_it": git_witness,
-        "gamma_t": None if gt is None else _total_witness(g, None, gt),
-        "gamma_tt": None if gtt is None else _total_witness(g, family, gtt),
-    }
-    return InvariantReport(
-        n=g.n,
-        alpha=alpha,
-        beta=beta,
-        matching=matching,
-        gamma=gamma,
-        tau_i=tau,
-        xi=xi,
-        gamma_it=git_value,
-        gamma_t=gt,
-        gamma_tt=gtt,
-        core=core,
-        witnesses=witnesses,
-    )
+    return _evaluator(g).report()

@@ -10,38 +10,22 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass
-from functools import cached_property
 from typing import Callable
 
-from .catalog import canonical_form, enumerate_connected_graphs, CatalogEntry
+from .catalog import enumerate_connected_graphs, CatalogEntry
 from .graphs import (
-    Bipartition,
     Graph,
     bipartition,
     complement,
     components,
-    cycle,
-    encode_graph6,
     induced_subgraph,
     is_complete,
-    is_connected,
     is_tree,
     iter_bits,
     members,
     pendant_vertices,
 )
-from .invariants import (
-    OmegaFamily,
-    SolverLimitError,
-    domination_number,
-    gamma_it,
-    gamma_t,
-    gamma_tt,
-    matching_number,
-    core_and_xi,
-    omega,
-    tau_i,
-)
+from .invariants import InvariantCache, SolverLimitError, omega, tau_i
 
 CHECK_MAX_ORDER = 20
 
@@ -57,76 +41,12 @@ class TheoremVerdict:
     theorem_id: str
     status: Status
     witness: dict
-    graph6: str
 
 
 @dataclass(frozen=True)
 class CharacterizationResult:
     holds: bool
     witness: dict
-
-
-class InvariantCache:
-    """Lazily computed invariants shared by all checks on one graph."""
-
-    def __init__(self, g: Graph) -> None:
-        self.g = g
-
-    @cached_property
-    def family(self) -> OmegaFamily:
-        return omega(self.g)
-
-    @cached_property
-    def alpha(self) -> int:
-        return self.family.alpha
-
-    @cached_property
-    def beta(self) -> int:
-        return self.g.n - self.alpha
-
-    @cached_property
-    def matching(self) -> int:
-        return matching_number(self.g)
-
-    @cached_property
-    def gamma(self) -> int:
-        return domination_number(self.g)
-
-    @cached_property
-    def tau(self) -> int:
-        return tau_i(self.g, self.family)
-
-    @cached_property
-    def xi(self) -> int:
-        return core_and_xi(self.g, self.family)[1]
-
-    @cached_property
-    def gamma_it(self) -> int:
-        return gamma_it(self.g, self.family)[0]
-
-    @cached_property
-    def gamma_t(self) -> int | None:
-        return gamma_t(self.g)
-
-    @cached_property
-    def gamma_tt(self) -> int | None:
-        return gamma_tt(self.g, self.family)
-
-    @cached_property
-    def bip(self) -> Bipartition | None:
-        return bipartition(self.g)
-
-    @cached_property
-    def connected(self) -> bool:
-        return is_connected(self.g)
-
-    @cached_property
-    def pendants(self) -> int:
-        return pendant_vertices(self.g)
-
-    @cached_property
-    def has_isolated(self) -> bool:
-        return bool(self.g.isolated())
 
 
 # A check returns (None, info) when hypotheses fail, else (claim_ok, witness).
@@ -512,17 +432,14 @@ def check(theorem_id: str, g: Graph, cache: InvariantCache | None = None) -> The
         raise SolverLimitError(
             f"theorem checks are limited to {CHECK_MAX_ORDER} vertices"
         )
-    g6 = encode_graph6(g)
     if g.n == 0:
-        return TheoremVerdict(
-            theorem_id, Status.NOT_APPLICABLE, {"reason": "empty graph"}, g6
-        )
+        return TheoremVerdict(theorem_id, Status.NOT_APPLICABLE, {"reason": "empty graph"})
     cache = cache if cache is not None else InvariantCache(g)
     ok, witness = THEOREMS[theorem_id].fn(g, cache)
     if ok is None:
-        return TheoremVerdict(theorem_id, Status.NOT_APPLICABLE, witness, g6)
+        return TheoremVerdict(theorem_id, Status.NOT_APPLICABLE, witness)
     status = Status.HOLDS if ok else Status.VIOLATED
-    return TheoremVerdict(theorem_id, status, witness, g6)
+    return TheoremVerdict(theorem_id, status, witness)
 
 
 # ---------------------------------------------------------------------------
@@ -563,13 +480,8 @@ def search_extremal(mode: str, n: int) -> list[ExtremalResult]:
         g = entry.graph
         if bipartition(g) is None:
             continue
-        value, _ = gamma_it(g)
-        if 2 * value == n:
-            gamma = domination_number(g)
-            assert gamma in (n // 2 - 1, n // 2)
-            out.append(ExtremalResult(entry, {"gamma": gamma, "gamma_it": value}))
+        c = InvariantCache(g)
+        if 2 * c.gamma_it == n:
+            assert c.gamma in (n // 2 - 1, n // 2)
+            out.append(ExtremalResult(entry, {"gamma": c.gamma, "gamma_it": c.gamma_it}))
     return out
-
-
-def is_c4(g: Graph) -> bool:
-    return g.n == 4 and canonical_form(g) == canonical_form(cycle(4))

@@ -5,7 +5,7 @@ from __future__ import annotations
 import random
 from itertools import combinations
 
-from itdom import Graph
+from itdom import Graph, canonical_form, canonical_graph6, cycle, is_connected, iter_bits
 
 
 def random_graph(rng: random.Random, n: int, p: float) -> Graph:
@@ -53,3 +53,53 @@ def _bfs_distance_without_edge(g: Graph, src: int, dst: int) -> int | None:
                 dist[y] = dist[x] + 1
                 queue.append(y)
     return dist.get(dst)
+
+
+def raw_connected_sweep(n: int) -> list[str]:
+    """Independent enumeration oracle: canonical graph6 of every connected
+    labeled graph on n vertices, deduplicated and sorted.
+
+    Exponential in n*(n-1)/2; for cross-checking the incremental catalog
+    generator at small orders only.
+    """
+    if not 1 <= n <= 5:
+        raise ValueError("raw sweep is limited to n <= 5")
+    pairs = [(i, j) for j in range(1, n) for i in range(j)]
+    found = set()
+    for mask in range(1 << len(pairs)):
+        g = Graph(n, [pairs[k] for k in range(len(pairs)) if (mask >> k) & 1])
+        if is_connected(g):
+            found.add(canonical_graph6(g))
+    return sorted(found)
+
+
+def is_c4(g: Graph) -> bool:
+    return g.n == 4 and canonical_form(g) == canonical_form(cycle(4))
+
+
+def ksubsets(n: int, k: int):
+    """All k-subsets of [0, n) as bitmasks in increasing numeric order (Gosper)."""
+    if k == 0:
+        yield 0
+        return
+    if k > n:
+        return
+    mask = (1 << k) - 1
+    while mask < 1 << n:
+        yield mask
+        low = mask & -mask
+        ripple = mask + low
+        mask = (((ripple ^ mask) >> 2) // low) | ripple
+
+
+def least_mask(n: int, k: int, feasible) -> int | None:
+    """Brute-force reference: the least k-subset mask of [0, n) accepted by ``feasible``."""
+    return next((s for s in ksubsets(n, k) if feasible(s)), None)
+
+
+def dominates(g: Graph, s: int, total: bool = False) -> bool:
+    """Every vertex has a neighbor in s (total) or is in or next to s."""
+    cover = 0
+    for v in iter_bits(s):
+        cover |= g.adj[v] if total else g.closed(v)
+    return cover == g.full_mask

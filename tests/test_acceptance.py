@@ -39,9 +39,9 @@ from itdom import (
 from itdom.cli import main
 from itdom.invariants import gamma_t
 from itdom.oracle import ORACLE_EDGE_LIMIT
-from itdom.theorems import InvariantCache, is_c4
+from itdom.theorems import InvariantCache
 
-from helpers import random_graph
+from helpers import is_c4, random_graph
 
 CONNECTED_COUNTS = {1: 1, 2: 1, 3: 2, 4: 6, 5: 21, 6: 112, 7: 853}
 

@@ -14,11 +14,10 @@ from itdom import (
     parse_graph6,
     path,
     permute,
-    raw_connected_sweep,
     star,
 )
 
-from helpers import random_graph, random_permutation
+from helpers import random_graph, random_permutation, raw_connected_sweep
 
 CONNECTED_COUNTS = {1: 1, 2: 1, 3: 2, 4: 6, 5: 21, 6: 112, 7: 853}
 ALL_COUNTS = {1: 1, 2: 2, 3: 4, 4: 11, 5: 34, 6: 156, 7: 1044}
@@ -86,7 +85,7 @@ def test_catalog_entries_are_canonical_sorted_unique():
 @pytest.mark.parametrize("n", [3, 4, 5])
 def test_catalog_matches_raw_edge_mask_sweep(n):
     incremental = [e.graph6 for e in enumerate_connected_graphs(n)]
-    sweep = [e.graph6 for e in raw_connected_sweep(n)]
+    sweep = raw_connected_sweep(n)
     assert incremental == sweep
 
 

@@ -260,6 +260,17 @@ def test_no_cache_flag_regenerates(capsys, tmp_path):
     assert first == second
 
 
+def test_truncated_catalog_cache_is_regenerated(capsys, tmp_path):
+    code, full, _ = run_cli(capsys, "generate", "--order", "6")
+    (cached,) = (tmp_path / "cache" / "itdom").glob("catalog-connected-n6-*.g6")
+    cached.write_text("\n".join(full.splitlines()[:40]) + "\n")
+    code, out, _ = run_cli(capsys, "verify", "--order", "6", "--theorems", "EQ1", "--jobs", "1")
+    assert code == 0
+    assert json.loads(out)["summary"]["graphs"] == 112
+    assert cached.read_text() == full
+    assert not list(cached.parent.glob("*.tmp"))
+
+
 def test_stdin_corpus(capsys, monkeypatch):
     import io
 

@@ -2,6 +2,7 @@
 
 import random
 
+import networkx as nx
 import pytest
 
 from itdom import (
@@ -33,9 +34,8 @@ from itdom import (
     star,
     tau_i,
 )
-from itdom.invariants import _hopcroft_karp, _matching_branch_bound
 
-from helpers import random_bipartite, random_graph
+from helpers import dominates, ksubsets, least_mask, random_bipartite, random_graph
 
 
 def test_omega_complete():
@@ -97,9 +97,10 @@ def test_matching_routes_agree():
     rng = random.Random(17)
     for _ in range(60):
         g = random_bipartite(rng, rng.randint(1, 5), rng.randint(1, 5), 0.5)
-        bip = bipartition(g)
-        assert bip is not None
-        assert _hopcroft_karp(g, bip) == _matching_branch_bound(g, g.full_mask, {})
+        assert bipartition(g) is not None
+        nxg = nx.Graph(g.edges())
+        expected = len(nx.max_weight_matching(nxg, maxcardinality=True))
+        assert matching_number(g) == expected
 
 
 def test_maximum_matching_witness():
@@ -298,3 +299,63 @@ def test_gamma_it_path_values():
     assert gamma_it(path(4))[0] == 2
     assert gamma_it(path(3))[0] == 2
     assert gamma_it(star(3))[0] == 2
+
+
+def _assert_least_witnesses(g):
+    """Every hitting-set witness is the least feasible mask of its reported size."""
+    report = compute_report(g)
+    sets = omega(g).sets
+    w = report.witnesses
+
+    def least(k, feasible):
+        return None if k is None else least_mask(g.n, k, feasible)
+
+    def transversal(s):
+        return all(s & t for t in sets)
+
+    def independent(s):
+        return all(not g.adj[v] & s for v in members(s))
+
+    assert w["alpha"] == least(report.alpha, independent)
+    assert w["beta"] == g.full_mask & ~w["alpha"]
+    assert w["matching"].bit_count() == 2 * report.matching
+    assert w["gamma"] == least(report.gamma, lambda s: dominates(g, s))
+    assert w["tau_i"] == least(report.tau_i, transversal)
+    assert w["gamma_it"] == least(
+        report.gamma_it, lambda s: dominates(g, s) and transversal(s)
+    )
+    assert w["gamma_t"] == least(report.gamma_t, lambda s: dominates(g, s, total=True))
+    assert w["gamma_tt"] == least(
+        report.gamma_tt, lambda s: dominates(g, s, total=True) and transversal(s)
+    )
+    # nothing smaller is feasible, and the *_sets functions list every optimum
+    assert least(report.gamma - 1, lambda s: dominates(g, s)) is None
+    assert least(report.gamma_it - 1, lambda s: dominates(g, s) and transversal(s)) is None
+    dominating = [s for s in ksubsets(g.n, report.gamma) if dominates(g, s)]
+    assert domination_sets(g) == (report.gamma, tuple(dominating))
+    optima = [s for s in ksubsets(g.n, report.gamma_it) if dominates(g, s) and transversal(s)]
+    assert gamma_it_sets(g) == (report.gamma_it, tuple(optima))
+
+
+def test_report_witnesses_are_least_masks_on_catalog():
+    for n in range(1, 7):
+        for entry in enumerate_connected_graphs(n):
+            _assert_least_witnesses(entry.graph)
+
+
+def test_report_witnesses_are_least_masks_on_random_graphs():
+    rng = random.Random(4242)
+    isolated = 0
+    for _ in range(120):
+        g = random_graph(rng, rng.randint(1, 12), rng.choice((0.1, 0.25, 0.4, 0.6)))
+        isolated += bool(g.isolated())
+        _assert_least_witnesses(g)
+    assert isolated > 10
+
+
+def test_report_matching_and_sandwich_over_catalog():
+    for n in range(1, 8):
+        for entry in enumerate_connected_graphs(n):
+            report = compute_report(entry.graph)
+            assert report.matching == matching_number(entry.graph)
+            assert max(report.gamma, report.tau_i) <= report.gamma_it

@@ -31,7 +31,9 @@ from itdom import (
     tau_i,
 )
 from itdom.invariants import SolverLimitError
-from itdom.theorems import InvariantCache, is_c4
+from itdom.theorems import InvariantCache
+
+from helpers import is_c4
 
 
 def test_registry_shape():
