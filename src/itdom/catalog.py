@@ -178,10 +178,12 @@ def enumerate_graphs(n: int) -> tuple[CatalogEntry, ...]:
             for group in combo:
                 for comp in group:
                     graph = comp.graph if graph is None else disjoint_union(graph, comp.graph)
-            assert graph is not None and graph.n == n
+            if graph is None or graph.n != n:
+                raise RuntimeError(f"partition {partition} did not build an order-{n} graph")
             cols, _ = _canonical_cols(graph.adj, n)
             entries.append(_entry_from_cols(cols, n))
     entries.sort(key=lambda e: e.graph6)
-    assert len({e.graph6 for e in entries}) == len(entries)
+    if len({e.graph6 for e in entries}) != len(entries):
+        raise RuntimeError(f"order-{n} catalog holds isomorphic duplicates")
     return tuple(entries)
 

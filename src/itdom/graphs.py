@@ -41,8 +41,9 @@ def members(mask: int) -> list[int]:
 class Graph:
     """Immutable simple undirected graph on {0, ..., n-1}.
 
-    ``adj[v]`` is the neighbor bitmask of ``v``.  Instances are expected to
-    be treated as frozen; all operations below return new graphs.
+    ``adj[v]`` is the neighbor bitmask of ``v``.  Instances are frozen:
+    assigning or deleting an attribute raises ``AttributeError``, and all
+    operations below return new graphs.
     """
 
     __slots__ = ("n", "adj")
@@ -58,8 +59,8 @@ class Graph:
                 raise ValueError(f"self-loop at vertex {u}")
             adj[u] |= 1 << v
             adj[v] |= 1 << u
-        self.n = n
-        self.adj = tuple(adj)
+        object.__setattr__(self, "n", n)
+        object.__setattr__(self, "adj", tuple(adj))
 
     @classmethod
     def from_adjacency(cls, adj: Sequence[int]) -> "Graph":
@@ -78,9 +79,19 @@ class Graph:
                 if not (adj[u] >> v) & 1:
                     raise ValueError(f"asymmetric adjacency between {u} and {v}")
         g = cls(0)
-        g.n = n
-        g.adj = tuple(adj)
+        object.__setattr__(g, "n", n)
+        object.__setattr__(g, "adj", tuple(adj))
         return g
+
+    def __setattr__(self, name: str, value: object) -> None:
+        raise AttributeError(f"Graph is immutable; cannot set {name!r}")
+
+    def __delattr__(self, name: str) -> None:
+        raise AttributeError(f"Graph is immutable; cannot delete {name!r}")
+
+    def __reduce__(self):
+        # The default slot-state restore assigns attributes, which is refused.
+        return Graph.from_adjacency, (self.adj,)
 
     @property
     def full_mask(self) -> int:

@@ -9,6 +9,16 @@ enumerator (``_hitting_sets``) lists the optimal sets in increasing bitmask
 order, so each reported witness is the least optimum by mask value.
 ``InvariantCache`` is the single evaluator: it computes each invariant of a
 graph at most once, and the public functions and ``compute_report`` read it.
+
+Matching is one Edmonds blossom search (``_augment``, after "Paths, trees,
+and flowers", 1965).  ``matching_number`` grows a greedy matching by one
+search from each free vertex.  ``maximum_matching`` reports the
+lexicographically first maximum matching: walking the edges in (u, v)
+order, it keeps an edge whenever it lies in some maximum matching of the
+vertices still available.  It keeps a maximum matching M of those vertices,
+and when u and v are M-matched to a and b it decides the edge uv by
+searching from a and then from b only, since an augmenting path avoiding
+both would augment M itself.
 """
 
 from __future__ import annotations
@@ -192,41 +202,112 @@ def _hitting_sets(sets: Sequence[int], k: int, below: int) -> Iterator[int]:
 # ---------------------------------------------------------------------------
 
 
-def _matching_branch_bound(g: Graph, avail: int, memo: dict[int, int]) -> int:
-    """Maximum matching size inside ``avail`` by branching on the lowest vertex."""
-    live = 0
-    for v in iter_bits(avail):
-        if g.adj[v] & avail:
-            live |= 1 << v
-    if live == 0:
-        return 0
-    cached = memo.get(live)
-    if cached is not None:
-        return cached
-    v = (live & -live).bit_length() - 1
-    bit = 1 << v
-    best = _matching_branch_bound(g, live & ~bit, memo)
-    for u in iter_bits(g.adj[v] & live):
-        best = max(
-            best, 1 + _matching_branch_bound(g, live & ~bit & ~(1 << u), memo)
-        )
-    memo[live] = best
-    return best
+def _augment(adj: Sequence[int], avail: int, mate: list[int], root: int) -> bool:
+    """One Edmonds search for an augmenting path from the free vertex ``root``.
+
+    A BFS grows an alternating tree inside ``avail``; ``base[v]`` names the
+    blossom ``v`` has been contracted into, found through a lowest common
+    ancestor walk.  On success the path is flipped in ``mate`` (``-1`` for
+    a free vertex) and True is returned; on failure ``mate`` is untouched.
+    Every matched vertex of ``avail`` must have its mate in ``avail``.
+    """
+    n = len(adj)
+    base = list(range(n))
+    parent = [-1] * n
+    outer = 1 << root  # the even (outer) tree vertices, queued once each
+    queue = [root]
+
+    def lca(a: int, b: int) -> int:
+        seen = 0
+        while True:
+            a = base[a]
+            seen |= 1 << a
+            if mate[a] < 0:
+                break
+            a = parent[mate[a]]
+        while True:
+            b = base[b]
+            if (seen >> b) & 1:
+                return b
+            b = parent[mate[b]]
+
+    def mark(v: int, top: int, child: int) -> int:
+        """Point ``parent`` through the blossom on the tree path from ``v`` up
+        to ``top``; return the bases met on that path."""
+        marked = 0
+        while base[v] != top:
+            marked |= 1 << base[v] | 1 << base[mate[v]]
+            parent[v] = child
+            child = mate[v]
+            v = parent[child]
+        return marked
+
+    for v in queue:
+        for u in iter_bits(adj[v] & avail):
+            if base[v] == base[u] or mate[v] == u:
+                continue
+            if u == root or (mate[u] >= 0 and parent[mate[u]] >= 0):
+                top = lca(v, u)
+                blossom = mark(v, top, u) | mark(u, top, v)
+                for w in iter_bits(avail):
+                    if (blossom >> base[w]) & 1:
+                        base[w] = top
+                        if not (outer >> w) & 1:
+                            outer |= 1 << w
+                            queue.append(w)
+            elif parent[u] < 0:
+                parent[u] = v
+                if mate[u] < 0:
+                    while u >= 0:
+                        v = parent[u]
+                        after = mate[v]
+                        mate[u], mate[v] = v, u
+                        u = after
+                    return True
+                outer |= 1 << mate[u]
+                queue.append(mate[u])
+    return False
+
+
+def _maximum_mate(g: Graph) -> list[int]:
+    """A maximum matching as a mate array: greedy, then one search per free vertex.
+
+    A vertex with no augmenting path stays without one after later
+    augmentations, so one pass over the free vertices suffices.
+    """
+    mate = [-1] * g.n
+    for v in range(g.n):
+        if mate[v] < 0:
+            for u in iter_bits(g.adj[v]):
+                if mate[u] < 0:
+                    mate[u], mate[v] = v, u
+                    break
+    for v in range(g.n):
+        if mate[v] < 0 and g.adj[v]:
+            _augment(g.adj, g.full_mask, mate, v)
+    return mate
 
 
 def matching_number(g: Graph) -> int:
-    """Maximum matching size by memoized branch and bound."""
-    return _matching_branch_bound(g, g.full_mask, {})
+    """Maximum matching size, by Edmonds' blossom search."""
+    return sum(m >= 0 for m in _maximum_mate(g)) // 2
 
 
 def maximum_matching(g: Graph) -> list[tuple[int, int]]:
     """Lexicographically first maximum matching as an edge list.
 
     Walks edges in (u, v) order and keeps an edge whenever a maximum
-    matching of the remaining graph still completes the target size.
+    matching of the remaining graph still completes the target size, that
+    is, when the edge lies in some maximum matching of the vertices still
+    available.  A maximum matching M of those vertices is kept alongside.
+    An edge uv of M is kept.  If only one of u, v is M-matched, swapping
+    its M-edge for uv keeps the size, so uv is kept.  If u is matched to a
+    and v to b, uv is kept iff M - ua - vb augments in the graph without u
+    and v; the augmenting path must end at a or b (one avoiding both would
+    augment M itself), so at most two Edmonds searches decide the edge.
     """
-    memo: dict[int, int] = {}
-    target = _matching_branch_bound(g, g.full_mask, memo)
+    mate = _maximum_mate(g)
+    target = sum(m >= 0 for m in mate) // 2
     chosen: list[tuple[int, int]] = []
     avail = g.full_mask
     for u, v in g.edges():
@@ -235,9 +316,19 @@ def maximum_matching(g: Graph) -> list[tuple[int, int]]:
         if not ((avail >> u) & 1 and (avail >> v) & 1):
             continue
         rest = avail & ~(1 << u) & ~(1 << v)
-        if _matching_branch_bound(g, rest, memo) == target - len(chosen) - 1:
-            chosen.append((u, v))
-            avail = rest
+        a, b = mate[u], mate[v]
+        if a != v:
+            for w in (a, b):
+                if w >= 0:
+                    mate[w] = -1
+            if a >= 0 and b >= 0 and not (
+                _augment(g.adj, rest, mate, a) or _augment(g.adj, rest, mate, b)
+            ):
+                mate[a], mate[b] = u, v
+                continue
+            mate[u], mate[v] = v, u
+        chosen.append((u, v))
+        avail = rest
     return chosen
 
 

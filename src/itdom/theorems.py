@@ -326,14 +326,16 @@ def _t35(g: Graph, c: InvariantCache):
 def _t41(g: Graph, c: InvariantCache):
     if not c.connected or g.n < 3:
         return None, {"reason": "needs connected order >= 3"}
-    assert c.gamma_t is not None
+    if c.gamma_t is None:
+        raise RuntimeError("gamma_t is undefined on a connected graph of order >= 3")
     return 3 * c.gamma_t <= 2 * g.n, {"gamma_t": c.gamma_t, "n": g.n}
 
 
 def _gtt(g: Graph, c: InvariantCache):
     if c.has_isolated or g.n == 0:
         return None, {"reason": "isolated vertex"}
-    assert c.gamma_tt is not None
+    if c.gamma_tt is None:
+        raise RuntimeError("gamma_tt is undefined on a graph without isolated vertices")
     return c.gamma_tt >= c.gamma_it, {"gamma_tt": c.gamma_tt, "gamma_it": c.gamma_it}
 
 
@@ -482,6 +484,9 @@ def search_extremal(mode: str, n: int) -> list[ExtremalResult]:
             continue
         c = InvariantCache(g)
         if 2 * c.gamma_it == n:
-            assert c.gamma in (n // 2 - 1, n // 2)
+            if c.gamma not in (n // 2 - 1, n // 2):
+                raise RuntimeError(
+                    f"{entry.graph6}: gamma_it = n/2 but gamma = {c.gamma} is not n/2 - 1 or n/2"
+                )
             out.append(ExtremalResult(entry, {"gamma": c.gamma, "gamma_it": c.gamma_it}))
     return out

@@ -5,6 +5,8 @@ from __future__ import annotations
 import random
 from itertools import combinations
 
+import networkx as nx
+
 from itdom import Graph, canonical_form, canonical_graph6, cycle, is_connected, iter_bits
 
 
@@ -103,3 +105,26 @@ def dominates(g: Graph, s: int, total: bool = False) -> bool:
     for v in iter_bits(s):
         cover |= g.adj[v] if total else g.closed(v)
     return cover == g.full_mask
+
+
+def lex_first_matching(g: Graph) -> list[tuple[int, int]]:
+    """Definitional reference for ``maximum_matching``: walk the edges in
+    (u, v) order and keep one when networkx still finds a maximum matching
+    of the remaining vertices that completes the target size."""
+    whole = nx.Graph(g.edges())
+    whole.add_nodes_from(range(g.n))
+
+    def size(vertices: set[int]) -> int:
+        return len(nx.max_weight_matching(whole.subgraph(vertices), maxcardinality=True))
+
+    rest = set(range(g.n))
+    need = size(rest)
+    chosen = []
+    for u, v in g.edges():
+        if need == 0:
+            break
+        if u in rest and v in rest and size(rest - {u, v}) == need - 1:
+            chosen.append((u, v))
+            rest -= {u, v}
+            need -= 1
+    return chosen

@@ -1,5 +1,7 @@
 """Graph type, constructions, structure queries, edge-list codec."""
 
+import copy
+import pickle
 import random
 
 import pytest
@@ -40,6 +42,18 @@ def test_graph_validates_input():
         Graph(3, [(0, 3)])
     with pytest.raises(ValueError, match="order"):
         Graph(65)
+
+
+def test_graph_is_frozen():
+    for g in (Graph(3, [(0, 1)]), Graph.from_adjacency([0b10, 0b01])):
+        before = (g.n, g.adj)
+        for name in ("n", "adj"):
+            with pytest.raises(AttributeError):
+                setattr(g, name, 0)
+            with pytest.raises(AttributeError):
+                delattr(g, name)
+        assert (g.n, g.adj) == before
+        assert copy.copy(g) == g and pickle.loads(pickle.dumps(g)) == g
 
 
 def test_from_adjacency_rejects_asymmetry():

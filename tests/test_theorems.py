@@ -1,5 +1,8 @@
 """Registry verdicts, characterization predicates and extremal searches."""
 
+import ast
+from pathlib import Path
+
 import pytest
 
 from itdom import (
@@ -290,3 +293,13 @@ def test_t35_cases():
     assert check("T3.5", cycle(6)).status is Status.NOT_APPLICABLE  # gamma = 2
     g = figure1_graph()  # odd order
     assert check("T3.5", g).status is Status.NOT_APPLICABLE
+
+
+def test_package_checks_survive_optimization():
+    # ``python -O`` strips assert statements, so the package raises instead.
+    package = Path(__file__).resolve().parents[1] / "src" / "itdom"
+    sources = sorted(package.glob("*.py"))
+    assert sources
+    for source in sources:
+        tree = ast.parse(source.read_text(), filename=str(source))
+        assert not any(isinstance(node, ast.Assert) for node in ast.walk(tree)), source.name
