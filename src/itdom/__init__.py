@@ -25,7 +25,6 @@ from .graphs import (
     iter_bits,
     mask_of,
     members,
-    named_graph,
     parse_edge_list,
     parse_graph6,
     path,

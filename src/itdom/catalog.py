@@ -4,15 +4,17 @@ The canonical form of a graph is the relabeling minimizing the
 upper-triangle bit encoding x(0,1), x(0,2), x(1,2), x(0,3), ... read as a
 big-endian bit string -- the same bit order graph6 uses, so sorting
 catalog entries by canonical graph6 text equals sorting by encoding.
+
+Only connected graphs are generated, by vertex extension; the catalog of
+all graphs adds the disconnected complements of the connected entries.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
-from itertools import combinations_with_replacement, product
 
-from .graphs import Graph, disjoint_union, encode_graph6, iter_bits
+from .graphs import Graph, complement, encode_graph6, is_connected, iter_bits
 
 CANONICAL_MAX_ORDER = 9
 CATALOG_MAX_ORDER = 7
@@ -142,48 +144,23 @@ def enumerate_connected_graphs(n: int) -> tuple[CatalogEntry, ...]:
     return tuple(out[key] for key in sorted(out))
 
 
-def _partitions(n: int, largest: int | None = None) -> list[tuple[int, ...]]:
-    if largest is None:
-        largest = n
-    if n == 0:
-        return [()]
-    out = []
-    for part in range(min(n, largest), 0, -1):
-        for rest in _partitions(n - part, part):
-            out.append((part,) + rest)
-    return out
-
-
 @lru_cache(maxsize=None)
 def enumerate_graphs(n: int) -> tuple[CatalogEntry, ...]:
     """All graphs on n vertices (connected or not), one canonical entry each.
 
-    Classes are composed as multisets of connected components; component
-    multisets are in bijection with isomorphism classes, so no dedup pass
-    is needed beyond canonicalizing each union for its entry.
+    A graph or its complement is connected, and complementation is a
+    bijection on isomorphism classes, so every disconnected class is the
+    complement of exactly one connected class: the connected catalog plus
+    the canonical complements that are disconnected is the whole catalog.
     """
-    if not 1 <= n <= CATALOG_MAX_ORDER:
-        raise ValueError(f"catalog order must be in [1, {CATALOG_MAX_ORDER}], got {n}")
-    entries = []
-    for partition in _partitions(n):
-        sizes: dict[int, int] = {}
-        for part in partition:
-            sizes[part] = sizes.get(part, 0) + 1
-        pools = [
-            combinations_with_replacement(enumerate_connected_graphs(size), count)
-            for size, count in sorted(sizes.items())
-        ]
-        for combo in product(*pools):
-            graph = None
-            for group in combo:
-                for comp in group:
-                    graph = comp.graph if graph is None else disjoint_union(graph, comp.graph)
-            if graph is None or graph.n != n:
-                raise RuntimeError(f"partition {partition} did not build an order-{n} graph")
-            cols, _ = _canonical_cols(graph.adj, n)
+    connected = enumerate_connected_graphs(n)
+    entries = list(connected)
+    for entry in connected:
+        co = complement(entry.graph)
+        if not is_connected(co):
+            cols, _ = _canonical_cols(co.adj, n)
             entries.append(_entry_from_cols(cols, n))
     entries.sort(key=lambda e: e.graph6)
     if len({e.graph6 for e in entries}) != len(entries):
         raise RuntimeError(f"order-{n} catalog holds isomorphic duplicates")
     return tuple(entries)
-

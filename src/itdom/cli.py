@@ -15,6 +15,7 @@ import json
 import os
 import sys
 import time
+import traceback
 from concurrent.futures import ProcessPoolExecutor
 from pathlib import Path
 
@@ -22,7 +23,6 @@ from . import __version__
 from .catalog import ALL_COUNTS, CATALOG_MAX_ORDER, CONNECTED_COUNTS
 from .catalog import enumerate_connected_graphs, enumerate_graphs
 from .graphs import (
-    EdgeListError,
     Graph,
     Graph6Error,
     complement,
@@ -42,6 +42,12 @@ EXIT_OK = 0
 EXIT_VERIFY_FAILED = 1
 EXIT_USAGE = 2
 EXIT_LIMIT = 3
+EXIT_INTERNAL = 4
+
+
+class UsageError(Exception):
+    """Bad input from the command line: an unreadable or malformed corpus,
+    an unknown theorem id, or a catalog order out of range."""
 
 
 # ---------------------------------------------------------------------------
@@ -60,15 +66,26 @@ def _load_corpus_text(text: str) -> list[Graph]:
 
 
 def _read_corpus(path: str | None) -> list[Graph]:
-    if path is None or path == "-":
-        return _load_corpus_text(sys.stdin.read())
-    return _load_corpus_text(Path(path).read_text())
+    try:
+        text = sys.stdin.read() if path is None or path == "-" else Path(path).read_text()
+    except (OSError, UnicodeDecodeError) as exc:
+        raise UsageError(f"cannot read corpus {path}: {exc}") from exc
+    try:
+        return _load_corpus_text(text)
+    except ValueError as exc:  # Graph6Error, EdgeListError, or an order Graph rejects
+        raise UsageError(str(exc)) from exc
+
+
+def _catalog_order(n: int) -> int:
+    if not 1 <= n <= CATALOG_MAX_ORDER:
+        raise UsageError(f"catalog order must be in [1, {CATALOG_MAX_ORDER}], got {n}")
+    return n
 
 
 def _guard_orders(graphs: list[Graph]) -> None:
     for g in graphs:
         if g.n == 0:
-            raise Graph6Error("order-0 graphs are not accepted by this command")
+            raise UsageError("order-0 graphs are not accepted by this command")
         if g.n > COMMAND_MAX_ORDER:
             raise SolverLimitError(
                 f"graph of order {g.n} exceeds the command limit of {COMMAND_MAX_ORDER}"
@@ -244,7 +261,7 @@ def _parse_theorem_ids(selector: str) -> tuple[str, ...]:
     ids = tuple(part.strip() for part in selector.split(",") if part.strip())
     for tid in ids:
         if tid not in THEOREMS:
-            raise KeyError(f"unknown theorem id {tid!r}")
+            raise UsageError(f"unknown theorem id {tid!r}")
     return ids
 
 
@@ -255,7 +272,9 @@ def _cmd_verify(args: argparse.Namespace, command: str) -> int:
         _guard_orders(graphs)
         lines = sorted(encode_graph6(g) for g in graphs)
     else:
-        lines = catalog_lines(args.order, connected=True, use_cache=not args.no_cache)
+        lines = catalog_lines(
+            _catalog_order(args.order), connected=True, use_cache=not args.no_cache
+        )
     entries = _map_tasks(_verify_task, [(g6, ids) for g6 in lines], args.jobs)
     entries.sort(key=lambda e: e["graph6"])
     summary = _summarize_statuses(entries)
@@ -271,7 +290,7 @@ def _cmd_verify(args: argparse.Namespace, command: str) -> int:
 
 def _cmd_generate(args: argparse.Namespace, command: str) -> int:
     lines = catalog_lines(
-        args.order, connected=not args.all, use_cache=not args.no_cache
+        _catalog_order(args.order), connected=not args.all, use_cache=not args.no_cache
     )
     sys.stdout.write("\n".join(lines) + "\n")
     return EXIT_OK
@@ -308,7 +327,7 @@ def _cmd_counterexamples(args: argparse.Namespace, command: str) -> int:
 
 
 def _cmd_search(args: argparse.Namespace, command: str) -> int:
-    results = search_extremal(args.mode, args.order)
+    results = search_extremal(args.mode, _catalog_order(args.order))
     entries = [
         {"graph6": res.entry.graph6, "n": res.entry.order, "values": res.values}
         for res in results
@@ -398,13 +417,15 @@ def main(argv: list[str] | None = None) -> int:
     started = time.perf_counter()
     try:
         code = args.handler(args, command)
-    except (Graph6Error, EdgeListError, KeyError, ValueError) as exc:
-        message = exc.args[0] if exc.args else str(exc)
-        print(f"error: {message}", file=sys.stderr)
+    except UsageError as exc:
+        print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     except SolverLimitError as exc:
         print(f"limit: {exc}", file=sys.stderr)
         return EXIT_LIMIT
+    except Exception:  # a fault in the solvers or checks, not in the input
+        traceback.print_exc()
+        return EXIT_INTERNAL
     elapsed = (time.perf_counter() - started) * 1000.0
     print(f"elapsed {elapsed:.0f} ms", file=sys.stderr)
     return code

@@ -336,24 +336,6 @@ def petersen() -> Graph:
     return Graph(10, edges)
 
 
-def named_graph(family: str, *params: int) -> Graph:
-    """Build one of the standard families by name."""
-    builders = {
-        "path": path,
-        "cycle": cycle,
-        "complete": complete,
-        "complete_bipartite": complete_bipartite,
-        "star": star,
-        "petersen": petersen,
-    }
-    if family not in builders:
-        raise ValueError(f"unknown graph family {family!r}")
-    g = builders[family](*params)
-    if g.n > MAX_ORDER:
-        raise ValueError(f"resulting order {g.n} exceeds {MAX_ORDER}")
-    return g
-
-
 def disjoint_union(a: Graph, b: Graph) -> Graph:
     if a.n + b.n > MAX_ORDER:
         raise ValueError("disjoint union exceeds the order limit")

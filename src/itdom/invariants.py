@@ -460,13 +460,10 @@ class InvariantCache:
         )
 
 
-def _evaluator(g: Graph, family: OmegaFamily | None = None) -> InvariantCache:
-    """A fresh evaluator, seeded with an already computed Omega family."""
+def _evaluator(g: Graph) -> InvariantCache:
+    """A fresh evaluator; the order-0 graph has no invariants and is rejected."""
     _require_vertices(g)
-    cache = InvariantCache(g)
-    if family is not None:
-        cache.family = family
-    return cache
+    return InvariantCache(g)
 
 
 # ---------------------------------------------------------------------------
@@ -485,30 +482,30 @@ def domination_sets(g: Graph) -> tuple[int, tuple[int, ...]]:
     return cache.gamma, tuple(cache.optima("gamma"))
 
 
-def core_and_xi(g: Graph, family: OmegaFamily | None = None) -> tuple[int, int]:
+def core_and_xi(g: Graph) -> tuple[int, int]:
     """Intersection of all maximum independent sets and its cardinality."""
-    cache = _evaluator(g, family)
+    cache = _evaluator(g)
     return cache.core, cache.xi
 
 
-def tau_i(g: Graph, family: OmegaFamily | None = None) -> int:
+def tau_i(g: Graph) -> int:
     """Minimum size of a set meeting every maximum independent set."""
-    return _evaluator(g, family).tau
+    return _evaluator(g).tau
 
 
-def gamma_it(g: Graph, family: OmegaFamily | None = None) -> tuple[int, int]:
+def gamma_it(g: Graph) -> tuple[int, int]:
     """Minimum dominating set meeting every maximum independent set.
 
     Returns (value, witness); the witness is the least optimum by bitmask
     value.
     """
-    cache = _evaluator(g, family)
+    cache = _evaluator(g)
     return cache.gamma_it, next(cache.optima("gamma_it"))
 
 
-def gamma_it_sets(g: Graph, family: OmegaFamily | None = None) -> tuple[int, tuple[int, ...]]:
+def gamma_it_sets(g: Graph) -> tuple[int, tuple[int, ...]]:
     """The optimum value together with every optimal witness."""
-    cache = _evaluator(g, family)
+    cache = _evaluator(g)
     return cache.gamma_it, tuple(cache.optima("gamma_it"))
 
 
@@ -517,9 +514,9 @@ def gamma_t(g: Graph) -> int | None:
     return None if g.n == 0 else _evaluator(g).gamma_t
 
 
-def gamma_tt(g: Graph, family: OmegaFamily | None = None) -> int | None:
+def gamma_tt(g: Graph) -> int | None:
     """Minimum total dominating set meeting every maximum independent set."""
-    return None if g.n == 0 else _evaluator(g, family).gamma_tt
+    return None if g.n == 0 else _evaluator(g).gamma_tt
 
 
 def compute_report(g: Graph) -> InvariantReport:

@@ -228,51 +228,48 @@ def _sand(g: Graph, c: InvariantCache):
     return ok, {"gamma": c.gamma, "gamma_it": c.gamma_it, "delta": delta}
 
 
-def _side_labelings(g: Graph, c: InvariantCache) -> list[tuple[int, int]]:
-    """Bipartition labelings (X, Y) with |X| <= |Y| and gamma = |X|."""
+def _side_labelings(c: InvariantCache) -> list[int]:
+    """The sides X of bipartition labelings (X, Y) with |X| <= |Y| and gamma = |X|."""
     if c.bip is None:
         return []
     out = []
     for x, y in ((c.bip.x, c.bip.y), (c.bip.y, c.bip.x)):
-        if x.bit_count() <= y.bit_count() and c.gamma == x.bit_count():
-            if (x, y) not in out:
-                out.append((x, y))
+        if x.bit_count() <= y.bit_count() and c.gamma == x.bit_count() and x not in out:
+            out.append(x)
     return out
 
 
-def _t32(g: Graph, c: InvariantCache):
-    labelings = _side_labelings(g, c)
-    if not labelings:
+def _side_check(c: InvariantCache, condition):
+    """T3.x: gamma_it = gamma + 1 exactly when ``condition`` holds for each side X.
+
+    ``condition(x)`` returns whether it holds and the fields that explain it
+    in a violation witness.
+    """
+    sides = _side_labelings(c)
+    if not sides:
         return None, {"reason": "needs bipartite with gamma equal to the small side"}
     jump = c.gamma_it == c.gamma + 1
-    for x, y in labelings:
-        cond = pendant_condition(g, x)
-        if jump != cond.holds:
-            return False, {
-                "X": members(x),
-                "gamma": c.gamma,
-                "gamma_it": c.gamma_it,
-                "condition_holds": cond.holds,
-                "condition_witness": cond.witness,
-            }
+    for x in sides:
+        holds, fields = condition(x)
+        if jump != holds:
+            return False, {"X": members(x), "gamma": c.gamma, "gamma_it": c.gamma_it, **fields}
     return True, {"gamma": c.gamma, "gamma_it": c.gamma_it}
+
+
+def _t32(g: Graph, c: InvariantCache):
+    def condition(x: int):
+        cond = pendant_condition(g, x)
+        return cond.holds, {"condition_holds": cond.holds, "condition_witness": cond.witness}
+
+    return _side_check(c, condition)
 
 
 def _t31_orig(g: Graph, c: InvariantCache):
-    labelings = _side_labelings(g, c)
-    if not labelings:
-        return None, {"reason": "needs bipartite with gamma equal to the small side"}
-    jump = c.gamma_it == c.gamma + 1
-    for x, y in labelings:
-        cond = _strict_pendant_condition(g, x)
-        if jump != cond:
-            return False, {
-                "X": members(x),
-                "gamma": c.gamma,
-                "gamma_it": c.gamma_it,
-                "strict_condition_holds": cond,
-            }
-    return True, {"gamma": c.gamma, "gamma_it": c.gamma_it}
+    def condition(x: int):
+        holds = _strict_pendant_condition(g, x)
+        return holds, {"strict_condition_holds": holds}
+
+    return _side_check(c, condition)
 
 
 def _component_shape(g: Graph, comp: int) -> str | None:

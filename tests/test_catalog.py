@@ -71,8 +71,9 @@ def test_catalog_order_range():
 
 
 def test_catalog_entries_are_canonical_sorted_unique():
-    for n in (4, 5, 6):
-        entries = enumerate_connected_graphs(n)
+    catalogs = [(n, enumerate_connected_graphs(n)) for n in (4, 5, 6)]
+    catalogs += [(n, enumerate_graphs(n)) for n in range(1, 8)]
+    for n, entries in catalogs:
         texts = [e.graph6 for e in entries]
         assert texts == sorted(texts)
         assert len(set(texts)) == len(texts)
@@ -107,29 +108,32 @@ def test_catalog_cross_checked_against_networkx_atlas():
     nx = pytest.importorskip("networkx")
     from networkx.generators.atlas import graph_atlas_g
 
-    atlas = graph_atlas_g()
-    by_order = {n: [] for n in range(1, 8)}
-    for g in atlas:
-        if 1 <= g.number_of_nodes() <= 7 and nx.is_connected(g):
-            by_order[g.number_of_nodes()].append(g)
-    for n, count in CONNECTED_COUNTS.items():
+    atlas = [g for g in graph_atlas_g() if 1 <= g.number_of_nodes() <= 7]
+    by_order = {n: [g for g in atlas if g.number_of_nodes() == n] for n in range(1, 8)}
+    for n, count in ALL_COUNTS.items():
         assert len(by_order[n]) == count
+    for n, count in CONNECTED_COUNTS.items():
+        assert sum(nx.is_connected(g) for g in by_order[n]) == count
 
     # one-to-one coverage at order 6: every atlas class matches exactly one entry
-    entries = enumerate_connected_graphs(6)
-    mine = [
-        nx.from_edgelist(e.graph.edges()) if e.graph.m else nx.empty_graph(6)
-        for e in entries
-    ]
-    matched = set()
-    for g in by_order[6]:
-        hits = [
-            i
-            for i, h in enumerate(mine)
-            if h.number_of_edges() == g.number_of_edges()
-            and sorted(d for _, d in h.degree()) == sorted(d for _, d in g.degree())
-            and nx.is_isomorphic(g, h)
-        ]
-        assert len(hits) == 1
-        matched.add(hits[0])
-    assert len(matched) == len(entries)
+    def assert_one_to_one(atlas_graphs, entries):
+        mine = []
+        for e in entries:
+            h = nx.empty_graph(e.order)
+            h.add_edges_from(e.graph.edges())
+            mine.append(h)
+        matched = set()
+        for g in atlas_graphs:
+            hits = [
+                i
+                for i, h in enumerate(mine)
+                if h.number_of_edges() == g.number_of_edges()
+                and sorted(d for _, d in h.degree()) == sorted(d for _, d in g.degree())
+                and nx.is_isomorphic(g, h)
+            ]
+            assert len(hits) == 1
+            matched.add(hits[0])
+        assert len(matched) == len(entries)
+
+    assert_one_to_one([g for g in by_order[6] if nx.is_connected(g)], enumerate_connected_graphs(6))
+    assert_one_to_one(by_order[6], enumerate_graphs(6))

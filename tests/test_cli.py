@@ -6,6 +6,7 @@ from pathlib import Path
 import pytest
 
 from itdom import complement, encode_graph6, petersen
+from itdom import cli
 from itdom.cli import main
 from itdom.theorems import THEOREMS, Theorem
 
@@ -78,6 +79,26 @@ def test_invariants_parse_error_exit_2(capsys, tmp_path):
     code, _, err = run_cli(capsys, "invariants", "--corpus", str(corpus))
     assert code == 2
     assert "error:" in err
+
+
+def test_missing_corpus_exit_2(capsys, tmp_path):
+    missing = tmp_path / "missing.g6"
+    code, _, err = run_cli(capsys, "verify", "--corpus", str(missing), "--jobs", "1")
+    assert code == 2
+    assert "error:" in err and "Traceback" not in err
+
+
+def test_internal_error_exit_4(capsys, monkeypatch, tmp_path):
+    # A fault inside the solvers is not a usage error, even when it is a KeyError.
+    def broken(g):
+        raise KeyError("solver bug")
+
+    monkeypatch.setattr(cli, "compute_report", broken)
+    corpus = tmp_path / "one.g6"
+    corpus.write_text("Cl\n")
+    code, _, err = run_cli(capsys, "invariants", "--corpus", str(corpus), "--jobs", "1")
+    assert code == 4
+    assert "Traceback" in err and "solver bug" in err
 
 
 def test_invariants_order_limit_exit_3(capsys, tmp_path):

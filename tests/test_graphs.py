@@ -12,6 +12,7 @@ from itdom import (
     bipartition,
     complement,
     complete,
+    complete_bipartite,
     components,
     corona,
     cycle,
@@ -24,7 +25,6 @@ from itdom import (
     is_connected,
     mask_of,
     members,
-    named_graph,
     parse_edge_list,
     path,
     pendant_vertices,
@@ -130,15 +130,13 @@ def test_corona_domination_number_is_base_order():
 
 
 def test_named_graphs():
-    c4 = named_graph("cycle", 4)
+    c4 = cycle(4)
     assert c4.edges() == [(0, 1), (0, 3), (1, 2), (2, 3)]
-    assert named_graph("complete", 5).m == 10
-    assert named_graph("complete_bipartite", 2, 3).m == 6
-    assert named_graph("star", 4).degree(0) == 4
-    with pytest.raises(ValueError, match="unknown graph family"):
-        named_graph("hypercube", 3)
+    assert complete(5).m == 10
+    assert complete_bipartite(2, 3).m == 6
+    assert star(4).degree(0) == 4
     with pytest.raises(ValueError):
-        named_graph("cycle", 2)
+        cycle(2)
 
 
 def test_petersen_shape():

@@ -150,7 +150,7 @@ def test_core_subset_of_every_maximum_set():
     for _ in range(40):
         g = random_graph(rng, rng.randint(1, 9), 0.4)
         fam = omega(g)
-        core, xi = core_and_xi(g, fam)
+        core, xi = core_and_xi(g)
         assert xi == core.bit_count()
         for s in fam.sets:
             assert core & s == core
@@ -194,7 +194,7 @@ def test_gamma_it_witness_properties():
     for _ in range(40):
         g = random_graph(rng, rng.randint(1, 10), 0.35)
         fam = omega(g)
-        value, witness = gamma_it(g, fam)
+        value, witness = gamma_it(g)
         assert witness.bit_count() == value
         cover = 0
         for v in members(witness):
@@ -202,7 +202,7 @@ def test_gamma_it_witness_properties():
         assert cover == g.full_mask
         assert all(witness & s for s in fam.sets)
         # least optimal witness by mask value
-        _, all_sets = gamma_it_sets(g, fam)
+        _, all_sets = gamma_it_sets(g)
         assert witness == min(all_sets)
 
 

@@ -162,7 +162,7 @@ def test_t32_both_implications_separately():
         for entry in enumerate_connected_graphs(n):
             g = entry.graph
             cache = InvariantCache(g)
-            for x, _ in _side_labelings(g, cache):
+            for x in _side_labelings(cache):
                 jump = cache.gamma_it == cache.gamma + 1
                 cond = pendant_condition(g, x).holds
                 # necessity: a jump forces the pendant structure
