@@ -36,7 +36,6 @@ from .graphs import (
 from .catalog import (
     CatalogEntry,
     canonical_form,
-    canonical_graph6,
     enumerate_connected_graphs,
     enumerate_graphs,
 )
@@ -47,9 +46,7 @@ from .invariants import (
     OmegaFamily,
     SolverLimitError,
     compute_report,
-    core_and_xi,
     domination_number,
-    domination_sets,
     gamma_it,
     gamma_it_sets,
     gamma_t,

@@ -19,10 +19,6 @@ from .graphs import Graph, complement, encode_graph6, is_connected, iter_bits
 CANONICAL_MAX_ORDER = 9
 CATALOG_MAX_ORDER = 7
 
-# Catalog sizes, OEIS A001349 (connected graphs) and A000088 (all graphs).
-CONNECTED_COUNTS = {1: 1, 2: 1, 3: 2, 4: 6, 5: 21, 6: 112, 7: 853}
-ALL_COUNTS = {1: 1, 2: 2, 3: 4, 4: 11, 5: 34, 6: 156, 7: 1044}
-
 
 @dataclass(frozen=True)
 class CatalogEntry:
@@ -87,10 +83,6 @@ def canonical_form(g: Graph) -> Graph:
         )
     cols, _ = _canonical_cols(g.adj, g.n)
     return _graph_from_cols(cols, g.n)
-
-
-def canonical_graph6(g: Graph) -> str:
-    return encode_graph6(canonical_form(g))
 
 
 def _orbit_reps(n: int, autos: list[tuple[int, ...]]) -> list[int]:

@@ -20,22 +20,28 @@ from concurrent.futures import ProcessPoolExecutor
 from pathlib import Path
 
 from . import __version__
-from .catalog import ALL_COUNTS, CATALOG_MAX_ORDER, CONNECTED_COUNTS
-from .catalog import enumerate_connected_graphs, enumerate_graphs
+from .catalog import CATALOG_MAX_ORDER, CatalogEntry, enumerate_graphs
 from .graphs import (
     Graph,
-    Graph6Error,
     complement,
     encode_graph6,
+    is_connected,
     members,
     parse_edge_list,
     parse_graph6,
     petersen,
 )
 from .invariants import InvariantCache, InvariantReport, SolverLimitError, compute_report
-from .theorems import SEARCH_MODES, THEOREMS, Status, check, figure1_graph, search_extremal
+from .theorems import (
+    CHECK_MAX_ORDER,
+    SEARCH_MODES,
+    THEOREMS,
+    Status,
+    check,
+    figure1_graph,
+    search_extremal,
+)
 
-COMMAND_MAX_ORDER = 20
 CATALOG_CACHE_VERSION = 1
 
 EXIT_OK = 0
@@ -86,9 +92,9 @@ def _guard_orders(graphs: list[Graph]) -> None:
     for g in graphs:
         if g.n == 0:
             raise UsageError("order-0 graphs are not accepted by this command")
-        if g.n > COMMAND_MAX_ORDER:
+        if g.n > CHECK_MAX_ORDER:
             raise SolverLimitError(
-                f"graph of order {g.n} exceeds the command limit of {COMMAND_MAX_ORDER}"
+                f"graph of order {g.n} exceeds the command limit of {CHECK_MAX_ORDER}"
             )
 
 
@@ -103,35 +109,42 @@ def _cache_dir() -> Path:
     return base / "itdom"
 
 
-def _catalog_cache_path(n: int, connected: bool) -> Path:
-    kind = "connected" if connected else "all"
-    digest = hashlib.sha256(
-        f"itdom-catalog/v{CATALOG_CACHE_VERSION}/{kind}/{n}".encode()
-    ).hexdigest()[:16]
-    return _cache_dir() / f"catalog-{kind}-n{n}-{digest}.g6"
+def _catalog_cache_path(n: int, body: bytes) -> Path:
+    digest = hashlib.sha256(body).hexdigest()
+    return _cache_dir() / f"catalog-v{CATALOG_CACHE_VERSION}-n{n}-{digest}.g6"
+
+
+def _all_graph_lines(n: int, use_cache: bool) -> list[str]:
+    """The order-n catalog of all graphs, kept on disk as one file per order.
+
+    The file is named by the SHA-256 digest of its body, so a truncated,
+    stale or corrupt file is one whose body does not match its name, and
+    the catalog is regenerated in its place.
+    """
+    if use_cache:
+        for path in sorted(_cache_dir().glob(f"catalog-v{CATALOG_CACHE_VERSION}-n{n}-*.g6")):
+            body = path.read_bytes()
+            if path == _catalog_cache_path(n, body):
+                return body.decode().splitlines()
+    lines = [entry.graph6 for entry in enumerate_graphs(n)]
+    body = ("\n".join(lines) + "\n").encode()
+    path = _catalog_cache_path(n, body)
+    path.parent.mkdir(parents=True, exist_ok=True)
+    tmp = path.with_suffix(f".{os.getpid()}.tmp")  # no clash between processes
+    tmp.write_bytes(body)
+    tmp.replace(path)
+    return lines
 
 
 def catalog_lines(n: int, connected: bool = True, use_cache: bool = True) -> list[str]:
-    """Canonical graph6 lines for the order-n catalog, cached on disk.
+    """Canonical graph6 lines for the order-n catalog, sorted.
 
-    A cached file is used only when it holds the known number of order-n
-    graphs; a truncated, stale or corrupt one is regenerated.
+    Both catalogs come from the one cached file of all graphs; the
+    connected one is its connected lines.
     """
-    path = _catalog_cache_path(n, connected)
-    if use_cache and path.is_file():
-        lines = [ln for ln in path.read_text().splitlines() if ln]
-        expected = (CONNECTED_COUNTS if connected else ALL_COUNTS).get(n)
-        try:
-            if len(lines) == expected and all(parse_graph6(ln).n == n for ln in lines):
-                return lines
-        except Graph6Error:
-            pass  # corrupt cache: regenerate below
-    entries = enumerate_connected_graphs(n) if connected else enumerate_graphs(n)
-    lines = [entry.graph6 for entry in entries]
-    path.parent.mkdir(parents=True, exist_ok=True)
-    tmp = path.with_suffix(f".{os.getpid()}.tmp")  # no clash between processes
-    tmp.write_text("\n".join(lines) + "\n")
-    tmp.replace(path)
+    lines = _all_graph_lines(n, use_cache)
+    if connected:
+        return [ln for ln in lines if is_connected(parse_graph6(ln))]
     return lines
 
 
@@ -207,11 +220,11 @@ def _report(command: str, entries: list[dict], summary: dict) -> dict:
     }
 
 
-def _emit(report: dict, fmt: str, csv_rows: tuple[list[str], list[list]] | None) -> None:
+def _emit(report: dict, fmt: str, csv_rows: tuple[list[str], list[list]]) -> None:
     if fmt == "json":
         sys.stdout.write(json.dumps(report, indent=2, sort_keys=True) + "\n")
         return
-    header, rows = csv_rows if csv_rows is not None else ([], [])
+    header, rows = csv_rows
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")
     writer.writerow(header)
@@ -276,7 +289,6 @@ def _cmd_verify(args: argparse.Namespace, command: str) -> int:
             _catalog_order(args.order), connected=True, use_cache=not args.no_cache
         )
     entries = _map_tasks(_verify_task, [(g6, ids) for g6 in lines], args.jobs)
-    entries.sort(key=lambda e: e["graph6"])
     summary = _summarize_statuses(entries)
     report = _report(command, entries, summary)
     rows = [
@@ -327,12 +339,13 @@ def _cmd_counterexamples(args: argparse.Namespace, command: str) -> int:
 
 
 def _cmd_search(args: argparse.Namespace, command: str) -> int:
-    results = search_extremal(args.mode, _catalog_order(args.order))
+    n = _catalog_order(args.order)
+    lines = catalog_lines(n, connected=True, use_cache=not args.no_cache)
+    catalog = [CatalogEntry(parse_graph6(g6), g6, n) for g6 in lines]
     entries = [
         {"graph6": res.entry.graph6, "n": res.entry.order, "values": res.values}
-        for res in results
+        for res in search_extremal(args.mode, catalog)
     ]
-    entries.sort(key=lambda e: e["graph6"])
     report = _report(command, entries, {"graphs": len(entries), "mode": args.mode})
     keys = sorted({k for e in entries for k in e["values"]})
     rows = [[e["graph6"]] + [e["values"].get(k) for k in keys] for e in entries]

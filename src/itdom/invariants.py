@@ -38,7 +38,7 @@ class SolverLimitError(RuntimeError):
 
 
 class OmegaCapError(SolverLimitError):
-    """More maximum independent sets than the configured materialization cap."""
+    """More maximum independent sets than ``DEFAULT_OMEGA_CAP``."""
 
 
 @dataclass(frozen=True)
@@ -72,7 +72,7 @@ def _require_vertices(g: Graph) -> None:
         raise ValueError("invariant is undefined for the order-0 graph")
 
 
-def omega(g: Graph, max_sets: int = DEFAULT_OMEGA_CAP) -> OmegaFamily:
+def omega(g: Graph) -> OmegaFamily:
     """All maximum independent sets, found as maximal cliques of the complement.
 
     Bron-Kerbosch with pivoting; branches that cannot reach the best size
@@ -94,9 +94,9 @@ def omega(g: Graph, max_sets: int = DEFAULT_OMEGA_CAP) -> OmegaFamily:
                 best = [r]
             elif size == best_size:
                 best.append(r)
-                if len(best) > max_sets:
+                if len(best) > DEFAULT_OMEGA_CAP:
                     raise OmegaCapError(
-                        f"more than {max_sets} maximum independent sets"
+                        f"more than {DEFAULT_OMEGA_CAP} maximum independent sets"
                     )
             return
         if r.bit_count() + p.bit_count() < best_size:
@@ -474,18 +474,6 @@ def _evaluator(g: Graph) -> InvariantCache:
 def domination_number(g: Graph) -> int:
     """Minimum dominating set size."""
     return _evaluator(g).gamma
-
-
-def domination_sets(g: Graph) -> tuple[int, tuple[int, ...]]:
-    """The domination number together with every minimum dominating set."""
-    cache = _evaluator(g)
-    return cache.gamma, tuple(cache.optima("gamma"))
-
-
-def core_and_xi(g: Graph) -> tuple[int, int]:
-    """Intersection of all maximum independent sets and its cardinality."""
-    cache = _evaluator(g)
-    return cache.core, cache.xi
 
 
 def tau_i(g: Graph) -> int:

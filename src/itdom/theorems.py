@@ -10,9 +10,9 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass
-from typing import Callable
+from typing import Callable, Sequence
 
-from .catalog import enumerate_connected_graphs, CatalogEntry
+from .catalog import CatalogEntry
 from .graphs import (
     Graph,
     bipartition,
@@ -427,6 +427,8 @@ def check(theorem_id: str, g: Graph, cache: InvariantCache | None = None) -> The
     """Evaluate one registry entry on one graph."""
     if theorem_id not in THEOREMS:
         raise KeyError(f"unknown theorem id {theorem_id!r}")
+    if cache is not None and cache.g != g:
+        raise ValueError("the invariant cache belongs to a different graph")
     if g.n > CHECK_MAX_ORDER:
         raise SolverLimitError(
             f"theorem checks are limited to {CHECK_MAX_ORDER} vertices"
@@ -455,17 +457,16 @@ class ExtremalResult:
 SEARCH_MODES = ("max_tau_i", "bipartite_half_gammait")
 
 
-def search_extremal(mode: str, n: int) -> list[ExtremalResult]:
-    """Catalog sweeps behind the open questions.
+def search_extremal(mode: str, entries: Sequence[CatalogEntry]) -> list[ExtremalResult]:
+    """Sweeps over a catalog behind the open questions.
 
-    max_tau_i lists the connected graphs attaining the largest minimum
-    transversal at order n.  bipartite_half_gammait lists the connected
-    bipartite graphs of even order n >= 4 whose dominating transversal
-    number is n/2, annotated with their domination number.
+    max_tau_i lists the entries attaining the largest minimum transversal.
+    bipartite_half_gammait lists the bipartite entries of even order
+    n >= 4 whose dominating transversal number is n/2, annotated with
+    their domination number.
     """
     if mode not in SEARCH_MODES:
         raise ValueError(f"unknown search mode {mode!r}")
-    entries = enumerate_connected_graphs(n)
     if mode == "max_tau_i":
         values = [(entry, tau_i(entry.graph)) for entry in entries]
         top = max(v for _, v in values)
@@ -473,11 +474,9 @@ def search_extremal(mode: str, n: int) -> list[ExtremalResult]:
             ExtremalResult(entry, {"tau_i": v}) for entry, v in values if v == top
         ]
     out = []
-    if n < 3 or n % 2:
-        return out
     for entry in entries:
-        g = entry.graph
-        if bipartition(g) is None:
+        g, n = entry.graph, entry.order
+        if n < 3 or n % 2 or bipartition(g) is None:
             continue
         c = InvariantCache(g)
         if 2 * c.gamma_it == n:

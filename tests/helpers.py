@@ -7,7 +7,11 @@ from itertools import combinations
 
 import networkx as nx
 
-from itdom import Graph, canonical_form, canonical_graph6, cycle, is_connected, iter_bits
+from itdom import Graph, canonical_form, cycle, encode_graph6, is_connected, iter_bits
+
+
+def canonical_graph6(g: Graph) -> str:
+    return encode_graph6(canonical_form(g))
 
 
 def random_graph(rng: random.Random, n: int, p: float) -> Graph:

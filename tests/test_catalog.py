@@ -6,7 +6,6 @@ import pytest
 
 from itdom import (
     canonical_form,
-    canonical_graph6,
     complete,
     cycle,
     enumerate_connected_graphs,
@@ -17,7 +16,7 @@ from itdom import (
     star,
 )
 
-from helpers import random_graph, random_permutation, raw_connected_sweep
+from helpers import canonical_graph6, random_graph, random_permutation, raw_connected_sweep
 
 CONNECTED_COUNTS = {1: 1, 2: 1, 3: 2, 4: 6, 5: 21, 6: 112, 7: 853}
 ALL_COUNTS = {1: 1, 2: 2, 3: 4, 4: 11, 5: 34, 6: 156, 7: 1044}

@@ -281,15 +281,49 @@ def test_no_cache_flag_regenerates(capsys, tmp_path):
     assert first == second
 
 
+def _catalog_cache_files(tmp_path):
+    return sorted((tmp_path / "cache" / "itdom").iterdir())
+
+
 def test_truncated_catalog_cache_is_regenerated(capsys, tmp_path):
-    code, full, _ = run_cli(capsys, "generate", "--order", "6")
-    (cached,) = (tmp_path / "cache" / "itdom").glob("catalog-connected-n6-*.g6")
+    code, full, _ = run_cli(capsys, "generate", "--order", "6", "--all")
+    (cached,) = _catalog_cache_files(tmp_path)
     cached.write_text("\n".join(full.splitlines()[:40]) + "\n")
     code, out, _ = run_cli(capsys, "verify", "--order", "6", "--theorems", "EQ1", "--jobs", "1")
     assert code == 0
     assert json.loads(out)["summary"]["graphs"] == 112
     assert cached.read_text() == full
     assert not list(cached.parent.glob("*.tmp"))
+
+
+def test_tampered_catalog_cache_is_regenerated(capsys, tmp_path):
+    # Right length, every line a valid order-5 graph6 line, but one graph wrong.
+    code, full, _ = run_cli(capsys, "generate", "--order", "5", "--all")
+    (cached,) = _catalog_cache_files(tmp_path)
+    lines = full.splitlines()
+    lines[0] = lines[1]
+    cached.write_text("\n".join(lines) + "\n")
+    code, out, _ = run_cli(capsys, "generate", "--order", "5", "--all")
+    assert code == 0
+    assert out == full
+    assert _catalog_cache_files(tmp_path) == [cached]
+    assert cached.read_text() == full
+
+
+def test_one_catalog_cache_file_per_order(capsys, tmp_path):
+    run_cli(capsys, "generate", "--order", "6", "--all")
+    run_cli(capsys, "verify", "--order", "6", "--theorems", "EQ1", "--jobs", "1")
+    run_cli(capsys, "search", "max_tau_i", "--order", "6", "--jobs", "1")
+    assert len(_catalog_cache_files(tmp_path)) == 1
+
+
+def test_search_no_cache_matches_cached(capsys):
+    argv = ("search", "bipartite_half_gammait", "--order", "6", "--jobs", "1")
+    _, cold, _ = run_cli(capsys, *argv)
+    _, warm, _ = run_cli(capsys, *argv)
+    _, uncached, _ = run_cli(capsys, *argv, "--no-cache")
+    assert cold == warm == uncached
+    assert json.loads(cold)["entries"]
 
 
 def test_stdin_corpus(capsys, monkeypatch):

@@ -17,7 +17,7 @@ from itdom import (
     corona,
     cycle,
     disjoint_union,
-    domination_sets,
+    domination_number,
     encode_graph6,
     enumerate_connected_graphs,
     format_edge_list,
@@ -125,8 +125,7 @@ def test_corona_rejects_oversize():
 def test_corona_domination_number_is_base_order():
     for n in range(2, 7):
         for entry in enumerate_connected_graphs(n):
-            gamma, _ = domination_sets(corona(entry.graph))
-            assert gamma == n
+            assert domination_number(corona(entry.graph)) == n
 
 
 def test_named_graphs():

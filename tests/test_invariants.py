@@ -7,17 +7,16 @@ import pytest
 
 from itdom import (
     Graph,
+    InvariantCache,
     OmegaCapError,
     bipartition,
     complement,
     complete,
     complete_bipartite,
     compute_report,
-    core_and_xi,
     corona,
     cycle,
     domination_number,
-    domination_sets,
     enumerate_connected_graphs,
     gamma_it,
     gamma_it_sets,
@@ -34,6 +33,7 @@ from itdom import (
     star,
     tau_i,
 )
+from itdom import invariants
 
 from helpers import dominates, ksubsets, least_mask, random_bipartite, random_graph
 
@@ -63,9 +63,11 @@ def test_omega_edgeless_and_k1():
     assert omega(Graph(1)).sets == (1,)
 
 
-def test_omega_cap():
-    with pytest.raises(OmegaCapError):
-        omega(cycle(5), max_sets=3)
+def test_omega_cap(monkeypatch):
+    with monkeypatch.context() as m:
+        m.setattr(invariants, "DEFAULT_OMEGA_CAP", 3)
+        with pytest.raises(OmegaCapError):
+            omega(cycle(5))
     assert len(omega(cycle(5)).sets) == 5
 
 
@@ -118,9 +120,9 @@ def test_maximum_matching_witness():
 
 def test_domination_small_cases():
     assert domination_number(complete(6)) == 1
-    gamma, sets = domination_sets(complete(6))
-    assert gamma == 1 and sets == tuple(1 << v for v in range(6))
-    assert domination_sets(cycle(4))[0] == 2
+    cache = InvariantCache(complete(6))
+    assert cache.gamma == 1 and tuple(cache.optima("gamma")) == tuple(1 << v for v in range(6))
+    assert InvariantCache(cycle(4)).gamma == 2
     assert domination_number(Graph(3)) == 3
     assert domination_number(Graph(1)) == 1
 
@@ -129,7 +131,8 @@ def test_domination_sets_are_exactly_the_minimum_dominating_sets():
     rng = random.Random(7)
     for _ in range(30):
         g = random_graph(rng, rng.randint(1, 9), 0.35)
-        gamma, sets = domination_sets(g)
+        cache = InvariantCache(g)
+        gamma, sets = cache.gamma, list(cache.optima("gamma"))
         closed = [g.closed(v) for v in range(g.n)]
         for s in sets:
             cover = 0
@@ -139,10 +142,10 @@ def test_domination_sets_are_exactly_the_minimum_dominating_sets():
 
 
 def test_core_and_xi():
-    core, xi = core_and_xi(cycle(4))
-    assert core == 0 and xi == 0
-    core, xi = core_and_xi(star(4))
-    assert core == mask_of([1, 2, 3, 4]) and xi == 4
+    cache = InvariantCache(cycle(4))
+    assert cache.core == 0 and cache.xi == 0
+    cache = InvariantCache(star(4))
+    assert cache.core == mask_of([1, 2, 3, 4]) and cache.xi == 4
 
 
 def test_core_subset_of_every_maximum_set():
@@ -150,7 +153,8 @@ def test_core_subset_of_every_maximum_set():
     for _ in range(40):
         g = random_graph(rng, rng.randint(1, 9), 0.4)
         fam = omega(g)
-        core, xi = core_and_xi(g)
+        cache = InvariantCache(g)
+        core, xi = cache.core, cache.xi
         assert xi == core.bit_count()
         for s in fam.sets:
             assert core & s == core
@@ -163,7 +167,7 @@ def test_xi_bound_when_alpha_exceeds_matching():
             alpha = omega(g).alpha
             mat = matching_number(g)
             if alpha > mat:
-                assert core_and_xi(g)[1] >= alpha - mat + 1
+                assert InvariantCache(g).xi >= alpha - mat + 1
 
 
 def test_tau_i_values():
@@ -332,7 +336,7 @@ def _assert_least_witnesses(g):
     assert least(report.gamma - 1, lambda s: dominates(g, s)) is None
     assert least(report.gamma_it - 1, lambda s: dominates(g, s) and transversal(s)) is None
     dominating = [s for s in ksubsets(g.n, report.gamma) if dominates(g, s)]
-    assert domination_sets(g) == (report.gamma, tuple(dominating))
+    assert tuple(InvariantCache(g).optima("gamma")) == tuple(dominating)
     optima = [s for s in ksubsets(g.n, report.gamma_it) if dominates(g, s) and transversal(s)]
     assert gamma_it_sets(g) == (report.gamma_it, tuple(optima))
 

@@ -36,7 +36,7 @@ from itdom import (
 from itdom.invariants import SolverLimitError
 from itdom.theorems import InvariantCache
 
-from helpers import is_c4
+from helpers import canonical_graph6, is_c4
 
 
 def test_registry_shape():
@@ -50,6 +50,13 @@ def test_check_unknown_id_and_order_guard():
         check("T9.9", cycle(4))
     with pytest.raises(SolverLimitError):
         check("EQ1", Graph(21))
+
+
+def test_check_rejects_a_cache_of_another_graph():
+    # EQ1 is proven; a cache for P3 must not make it read as violated on C4.
+    with pytest.raises(ValueError, match="different graph"):
+        check("EQ1", cycle(4), InvariantCache(path(3)))
+    assert check("EQ1", cycle(4), InvariantCache(cycle(4))).status is Status.HOLDS
 
 
 def test_t11_not_applicable_on_k1():
@@ -135,18 +142,15 @@ def test_figure1_is_a_minimal_counterexample_to_the_original_claim():
                 witnesses[n].append(entry.graph6)
     assert all(not witnesses[n] for n in range(1, 5))
     assert witnesses[5]
-    from itdom import canonical_graph6
-
     assert canonical_graph6(figure1_graph()) in witnesses[5]
 
 
 def test_figure1_gamma_sets_miss_a_maximum_independent_set():
     # Both minimum dominating sets {0, 1} and {1, 2} fail to meet one of the
     # two maximum independent sets {2, 3, 4} and {0, 3, 4}, forcing the jump.
-    from itdom import domination_sets
-
     g = figure1_graph()
-    gamma, sets = domination_sets(g)
+    cache = InvariantCache(g)
+    gamma, sets = cache.gamma, tuple(cache.optima("gamma"))
     assert gamma == 2
     assert sets == (mask_of([0, 1]), mask_of([1, 2]))
     fam = omega(g)
@@ -248,19 +252,17 @@ def test_violated_witness_revalidates():
 
 
 def test_search_max_tau_i():
-    results = search_extremal("max_tau_i", 4)
+    results = search_extremal("max_tau_i", enumerate_connected_graphs(4))
     assert len(results) == 1
     assert results[0].values == {"tau_i": 4}
     assert canonical_form(results[0].entry.graph) == canonical_form(complete(4))
-    results5 = search_extremal("max_tau_i", 5)
+    results5 = search_extremal("max_tau_i", enumerate_connected_graphs(5))
     assert [r.values["tau_i"] for r in results5] == [5]
 
 
 def test_search_bipartite_half_gammait():
-    results = search_extremal("bipartite_half_gammait", 4)
+    results = search_extremal("bipartite_half_gammait", enumerate_connected_graphs(4))
     found = {r.entry.graph6 for r in results}
-    from itdom import canonical_graph6
-
     assert canonical_graph6(cycle(4)) in found
     assert canonical_graph6(path(4)) in found
     for r in results:
@@ -272,13 +274,13 @@ def test_search_bipartite_half_gammait():
 
 
 def test_search_bipartite_half_gammait_small_orders_empty():
-    assert search_extremal("bipartite_half_gammait", 2) == []
-    assert search_extremal("bipartite_half_gammait", 5) == []
+    assert search_extremal("bipartite_half_gammait", enumerate_connected_graphs(2)) == []
+    assert search_extremal("bipartite_half_gammait", enumerate_connected_graphs(5)) == []
 
 
 def test_search_unknown_mode():
     with pytest.raises(ValueError, match="unknown search mode"):
-        search_extremal("widest_girth", 4)
+        search_extremal("widest_girth", enumerate_connected_graphs(4))
 
 
 def test_tau_i_alpha_exceeding_matching_gives_one():
