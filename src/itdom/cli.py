@@ -136,16 +136,21 @@ def _all_graph_lines(n: int, use_cache: bool) -> list[str]:
     return lines
 
 
+def _connected_entries(n: int, use_cache: bool) -> list[CatalogEntry]:
+    """The order-n connected catalog, sorted: the connected lines of the one
+    cached file of all graphs, each parsed once."""
+    parsed = ((parse_graph6(ln), ln) for ln in _all_graph_lines(n, use_cache))
+    return [CatalogEntry(g, ln, n) for g, ln in parsed if is_connected(g)]
+
+
 def catalog_lines(n: int, connected: bool = True, use_cache: bool = True) -> list[str]:
     """Canonical graph6 lines for the order-n catalog, sorted.
 
-    Both catalogs come from the one cached file of all graphs; the
-    connected one is its connected lines.
+    Both catalogs come from the one cached file of all graphs.
     """
-    lines = _all_graph_lines(n, use_cache)
     if connected:
-        return [ln for ln in lines if is_connected(parse_graph6(ln))]
-    return lines
+        return [entry.graph6 for entry in _connected_entries(n, use_cache)]
+    return _all_graph_lines(n, use_cache)
 
 
 # ---------------------------------------------------------------------------
@@ -339,9 +344,7 @@ def _cmd_counterexamples(args: argparse.Namespace, command: str) -> int:
 
 
 def _cmd_search(args: argparse.Namespace, command: str) -> int:
-    n = _catalog_order(args.order)
-    lines = catalog_lines(n, connected=True, use_cache=not args.no_cache)
-    catalog = [CatalogEntry(parse_graph6(g6), g6, n) for g6 in lines]
+    catalog = _connected_entries(_catalog_order(args.order), use_cache=not args.no_cache)
     entries = [
         {"graph6": res.entry.graph6, "n": res.entry.order, "values": res.values}
         for res in search_extremal(args.mode, catalog)

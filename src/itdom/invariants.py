@@ -345,8 +345,20 @@ class InvariantCache:
     public solver functions below read a fresh one.
     """
 
+    # Hitting-set invariant -> the sets each of its feasible sets must meet.
+    _CONSTRAINTS = {
+        "gamma": lambda c: c.closed,
+        "tau_i": lambda c: c.family.sets,
+        "gamma_it": lambda c: [*c.closed, *c.family.sets],
+        "gamma_t": lambda c: c.g.adj,
+        "gamma_tt": lambda c: [*c.g.adj, *c.family.sets],
+    }
+
     def __init__(self, g: Graph) -> None:
         self.g = g
+
+    def _least(self, key: str, low: int = 0) -> int:
+        return _min_hitting_size(self._CONSTRAINTS[key](self), low)
 
     @cached_property
     def family(self) -> OmegaFamily:
@@ -370,11 +382,11 @@ class InvariantCache:
 
     @cached_property
     def gamma(self) -> int:
-        return _min_hitting_size(self.closed)
+        return self._least("gamma")
 
     @cached_property
-    def tau(self) -> int:
-        return _min_hitting_size(self.family.sets)
+    def tau_i(self) -> int:
+        return self._least("tau_i")
 
     @cached_property
     def core(self) -> int:
@@ -389,18 +401,15 @@ class InvariantCache:
 
     @cached_property
     def gamma_it(self) -> int:
-        sets = [*self.closed, *self.family.sets]
-        return _min_hitting_size(sets, max(self.gamma, self.tau))
+        return self._least("gamma_it", max(self.gamma, self.tau_i))
 
     @cached_property
     def gamma_t(self) -> int | None:
-        return None if self.has_isolated else _min_hitting_size(self.g.adj, 2)
+        return None if self.has_isolated else self._least("gamma_t", 2)
 
     @cached_property
     def gamma_tt(self) -> int | None:
-        if self.has_isolated:
-            return None
-        return _min_hitting_size([*self.g.adj, *self.family.sets], max(2, self.tau))
+        return None if self.has_isolated else self._least("gamma_tt", max(2, self.tau_i))
 
     @cached_property
     def bip(self) -> Bipartition | None:
@@ -414,19 +423,12 @@ class InvariantCache:
     def has_isolated(self) -> bool:
         return bool(self.g.isolated())
 
-    # Witness key -> (the sets its optimal sets hit, the optimum size).
-    _HITTING = {
-        "gamma": lambda c: (c.closed, c.gamma),
-        "tau_i": lambda c: (c.family.sets, c.tau),
-        "gamma_it": lambda c: ([*c.closed, *c.family.sets], c.gamma_it),
-        "gamma_t": lambda c: (c.g.adj, c.gamma_t),
-        "gamma_tt": lambda c: ([*c.g.adj, *c.family.sets], c.gamma_tt),
-    }
-
     def optima(self, key: str) -> Iterator[int]:
-        """Every optimal set of one ``_HITTING`` invariant, in increasing bitmask order."""
-        sets, size = self._HITTING[key](self)
-        return iter(()) if size is None else _hitting_sets(sets, size, self.g.n)
+        """Every optimal set of one ``_CONSTRAINTS`` invariant, in increasing bitmask order."""
+        size = getattr(self, key)
+        if size is None:
+            return iter(())
+        return _hitting_sets(self._CONSTRAINTS[key](self), size, self.g.n)
 
     def witnesses(self) -> dict[str, int | None]:
         """One optimal vertex mask per invariant: the least one by mask value
@@ -438,7 +440,7 @@ class InvariantCache:
             matched |= (1 << u) | (1 << v)
         first = self.family.sets[0]
         fixed = {"alpha": first, "beta": self.g.full_mask & ~first, "matching": matched}
-        return fixed | {key: next(self.optima(key), None) for key in self._HITTING}
+        return fixed | {key: next(self.optima(key), None) for key in self._CONSTRAINTS}
 
     def report(self) -> InvariantReport:
         """Every invariant with its witness; the matching size is read off
@@ -450,7 +452,7 @@ class InvariantCache:
             beta=self.beta,
             matching=witnesses["matching"].bit_count() // 2,
             gamma=self.gamma,
-            tau_i=self.tau,
+            tau_i=self.tau_i,
             xi=self.xi,
             gamma_it=self.gamma_it,
             gamma_t=self.gamma_t,
@@ -478,7 +480,7 @@ def domination_number(g: Graph) -> int:
 
 def tau_i(g: Graph) -> int:
     """Minimum size of a set meeting every maximum independent set."""
-    return _evaluator(g).tau
+    return _evaluator(g).tau_i
 
 
 def gamma_it(g: Graph) -> tuple[int, int]:

@@ -1,16 +1,16 @@
-"""Unoptimized exhaustive oracles used to cross-check the solvers.
+"""Unoptimized exhaustive oracle used to cross-check the solvers.
 
-Everything here is a direct transcription of a definition into a full
-subset sweep: no pruning, no bound, no shared code with the solver side.
-Feasible only for tiny instances, which is the point.
+Every value is a direct transcription of a definition over the vertex
+subsets: one sweep flags each subset, and a second finds the transversals
+of Omega once alpha is known.  No pruning, no bound, no shared code with
+the solver side.  Feasible only for tiny instances, which is the point.
 """
 
 from __future__ import annotations
 
-from .graphs import Graph, members
+from .graphs import Graph, iter_bits
 
 ORACLE_VERTEX_LIMIT = 16
-ORACLE_EDGE_LIMIT = 20
 
 ORACLE_IDS = (
     "alpha",
@@ -28,115 +28,59 @@ class OracleLimitError(ValueError):
     """Instance too large for the exhaustive oracle."""
 
 
-def _is_independent(g: Graph, subset: list[int]) -> bool:
-    for i, u in enumerate(subset):
-        for v in subset[i + 1 :]:
-            if g.has_edge(u, v):
-                return False
-    return True
+def naive_oracle(g: Graph) -> dict[str, int | None]:
+    """Every invariant of ``ORACLE_IDS``, from the 2^n vertex subsets by definition.
 
-
-def _is_dominating(g: Graph, subset: list[int]) -> bool:
-    chosen = set(subset)
-    for v in range(g.n):
-        if v in chosen:
-            continue
-        if not any(g.has_edge(u, v) for u in subset):
-            return False
-    return True
-
-
-def _is_total_dominating(g: Graph, subset: list[int]) -> bool:
-    for v in range(g.n):
-        if not any(u != v and g.has_edge(u, v) for u in subset):
-            return False
-    return True
-
-
-def _is_cover(g: Graph, subset: list[int]) -> bool:
-    chosen = set(subset)
-    return all(u in chosen or v in chosen for u, v in g.edges())
-
-
-def _all_subsets(g: Graph):
-    for mask in range(1 << g.n):
-        yield members(mask)
-
-
-def _max_independent_sets(g: Graph) -> tuple[int, list[list[int]]]:
-    alpha = 0
-    for subset in _all_subsets(g):
-        if _is_independent(g, subset):
-            alpha = max(alpha, len(subset))
-    sets = [
-        subset
-        for subset in _all_subsets(g)
-        if len(subset) == alpha and _is_independent(g, subset)
-    ]
-    return alpha, sets
-
-
-def naive_oracle(g: Graph, which: str) -> int | None:
-    """Exhaustively computed value of one invariant, by definition only."""
-    if which not in ORACLE_IDS:
-        raise ValueError(f"unknown oracle invariant {which!r}")
-    if which == "matching":
-        edges = g.edges()
-        if len(edges) > ORACLE_EDGE_LIMIT:
-            raise OracleLimitError(
-                f"matching oracle sweeps edge subsets and is limited to {ORACLE_EDGE_LIMIT} edges"
-            )
-        best = 0
-        for mask in range(1 << len(edges)):
-            picked = [edges[k] for k in range(len(edges)) if (mask >> k) & 1]
-            touched: set[int] = set()
-            ok = True
-            for u, v in picked:
-                if u in touched or v in touched:
-                    ok = False
-                    break
-                touched.add(u)
-                touched.add(v)
-            if ok:
-                best = max(best, len(picked))
-        return best
-
+    A subset S (a bitmask) is independent when no vertex of S has a
+    neighbour in S, a vertex cover when no vertex outside S has a neighbour
+    outside S, dominating when every vertex is in S or has a neighbour in
+    S, and totally dominating when every vertex has a neighbour in S.
+    Omega is the independent sets of size alpha, and a transversal meets
+    each of them.  Each minimum is the least size of a subset meeting its
+    definition, None when there is none (the total variants with an
+    isolated vertex).  S is perfectly matchable when it is empty, or when
+    the least vertex u of S has a neighbour v in S with S - u - v perfectly
+    matchable; S - u - v < S as a mask, so the increasing sweep fills this
+    in order.  The matching number is the largest |S| / 2 over those S.
+    """
     if g.n > ORACLE_VERTEX_LIMIT:
         raise OracleLimitError(
             f"subset-sweep oracle is limited to {ORACLE_VERTEX_LIMIT} vertices"
         )
     if g.n == 0:
         raise ValueError("oracle is undefined for the order-0 graph")
+    adj, full = g.adj, g.full_mask
+    closed = [g.closed(v) for v in range(g.n)]
+    independent, covers, dominating, total = set(), set(), set(), set()
+    matchable = set()
+    for s in range(1 << g.n):
+        if not any(adj[v] & s for v in iter_bits(s)):
+            independent.add(s)
+        if not any(adj[v] & ~s for v in iter_bits(full & ~s)):
+            covers.add(s)
+        if all(c & s for c in closed):
+            dominating.add(s)
+        if all(a & s for a in adj):
+            total.add(s)
+        u = s & -s
+        if not s or any(
+            s ^ u ^ (1 << v) in matchable for v in iter_bits(adj[u.bit_length() - 1] & s)
+        ):
+            matchable.add(s)
+    alpha = max(s.bit_count() for s in independent)
+    omega = [s for s in independent if s.bit_count() == alpha]
+    transversals = {s for s in range(1 << g.n) if all(s & i for i in omega)}
 
-    if which == "alpha":
-        return _max_independent_sets(g)[0]
-    if which == "beta":
-        return min(len(s) for s in _all_subsets(g) if _is_cover(g, s))
-    if which == "gamma":
-        return min(len(s) for s in _all_subsets(g) if _is_dominating(g, s))
-    if which == "tau_i":
-        _, omega_sets = _max_independent_sets(g)
-        return min(
-            len(s)
-            for s in _all_subsets(g)
-            if all(set(s) & set(i) for i in omega_sets)
-        )
-    if which == "gamma_it":
-        _, omega_sets = _max_independent_sets(g)
-        return min(
-            len(s)
-            for s in _all_subsets(g)
-            if _is_dominating(g, s) and all(set(s) & set(i) for i in omega_sets)
-        )
+    def least(sets: set[int]) -> int | None:
+        return min((s.bit_count() for s in sets), default=None)
 
-    # Total variants: undefined as soon as some vertex has no neighbor.
-    if any(g.degree(v) == 0 for v in range(g.n)):
-        return None
-    if which == "gamma_t":
-        return min(len(s) for s in _all_subsets(g) if _is_total_dominating(g, s))
-    _, omega_sets = _max_independent_sets(g)
-    return min(
-        len(s)
-        for s in _all_subsets(g)
-        if _is_total_dominating(g, s) and all(set(s) & set(i) for i in omega_sets)
-    )
+    return {
+        "alpha": alpha,
+        "beta": least(covers),
+        "gamma": least(dominating),
+        "tau_i": least(transversals),
+        "gamma_it": least(dominating & transversals),
+        "gamma_t": least(total),
+        "gamma_tt": least(total & transversals),
+        "matching": max(s.bit_count() for s in matchable) // 2,
+    }

@@ -152,8 +152,8 @@ def _eq5(g: Graph, c: InvariantCache):
 
 
 def _eq6(g: Graph, c: InvariantCache):
-    ok = max(c.gamma, c.tau) <= c.gamma_it
-    return ok, {"gamma": c.gamma, "tau_i": c.tau, "gamma_it": c.gamma_it}
+    ok = max(c.gamma, c.tau_i) <= c.gamma_it
+    return ok, {"gamma": c.gamma, "tau_i": c.tau_i, "gamma_it": c.gamma_it}
 
 
 def _t11(g: Graph, c: InvariantCache):
@@ -177,9 +177,9 @@ def _l21(g: Graph, c: InvariantCache):
         return None, {"reason": "complement has a triangle"}
     comp_alpha = omega(comp).alpha
     cover = g.n - comp_alpha
-    ok = c.tau == cover and c.gamma_it >= cover
+    ok = c.tau_i == cover and c.gamma_it >= cover
     return ok, {
-        "tau_i": c.tau,
+        "tau_i": c.tau_i,
         "complement_cover_number": cover,
         "gamma_it": c.gamma_it,
     }
@@ -197,7 +197,7 @@ def _t24(g: Graph, c: InvariantCache):
 def _c24a(g: Graph, c: InvariantCache):
     if not c.connected or c.alpha <= c.matching:
         return None, {"reason": "needs connected with alpha > matching"}
-    return c.tau == 1, {"tau_i": c.tau}
+    return c.tau_i == 1, {"tau_i": c.tau_i}
 
 
 def _t25(g: Graph, c: InvariantCache):

@@ -1,11 +1,16 @@
-"""Solvers against the definitional full-sweep oracles."""
+"""Solvers against the definitional full-sweep oracle."""
 
+import ast
 import random
+from itertools import combinations
+from pathlib import Path
 
 import pytest
 
+import itdom.oracle
 from itdom import (
     Graph,
+    complement,
     complete,
     cycle,
     domination_number,
@@ -18,7 +23,7 @@ from itdom import (
     petersen,
     tau_i,
 )
-from itdom.oracle import ORACLE_EDGE_LIMIT, OracleLimitError
+from itdom.oracle import ORACLE_IDS, OracleLimitError
 
 from helpers import random_graph
 
@@ -35,20 +40,39 @@ SOLVERS = {
 
 
 def test_oracle_known_values():
-    assert naive_oracle(petersen(), "alpha") == 4
-    assert naive_oracle(cycle(4), "gamma") == 2
-    assert naive_oracle(cycle(4), "gamma_t") == 2
-    assert naive_oracle(Graph(1), "gamma_t") is None
-    assert naive_oracle(petersen(), "matching") == 5
+    assert tuple(naive_oracle(petersen())) == ORACLE_IDS
+    assert naive_oracle(petersen())["alpha"] == 4
+    assert naive_oracle(cycle(4))["gamma"] == 2
+    assert naive_oracle(cycle(4))["gamma_t"] == 2
+    assert naive_oracle(Graph(1))["gamma_t"] is None
+    assert naive_oracle(petersen())["matching"] == 5
+    assert naive_oracle(complete(8))["matching"] == 4  # 28 edges
+    assert naive_oracle(complement(petersen()))["matching"] == 5  # 30 edges
 
 
 def test_oracle_limits():
     with pytest.raises(OracleLimitError, match="16 vertices"):
-        naive_oracle(Graph(17), "alpha")
-    with pytest.raises(OracleLimitError, match="edges"):
-        naive_oracle(complete(8), "matching")  # 28 edges
-    with pytest.raises(ValueError, match="unknown oracle invariant"):
-        naive_oracle(cycle(4), "chromatic")
+        naive_oracle(Graph(17))
+    with pytest.raises(ValueError, match="order-0"):
+        naive_oracle(Graph(0))
+
+
+def test_oracle_imports_only_graphs_from_the_package():
+    tree = ast.parse(Path(itdom.oracle.__file__).read_text())
+    package_imports = {
+        "." * node.level + (node.module or "")
+        for node in ast.walk(tree)
+        if isinstance(node, ast.ImportFrom)
+        and (node.level or (node.module or "").startswith("itdom"))
+    }
+    package_imports |= {
+        alias.name
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Import)
+        for alias in node.names
+        if alias.name.startswith("itdom")
+    }
+    assert package_imports == {".graphs"}
 
 
 def test_all_solvers_match_oracle_on_seeded_random_graphs():
@@ -56,21 +80,21 @@ def test_all_solvers_match_oracle_on_seeded_random_graphs():
     for _ in range(120):
         n = rng.randint(1, 10)
         g = random_graph(rng, n, rng.choice([0.15, 0.3, 0.5, 0.75]))
+        oracle = naive_oracle(g)
         for which, solver in SOLVERS.items():
-            if which == "matching" and g.m > ORACLE_EDGE_LIMIT:
-                continue
-            assert solver(g) == naive_oracle(g, which), (which, g.edges(), n)
+            assert solver(g) == oracle[which], (which, g.edges(), n)
 
 
 def test_omega_family_matches_naive_enumeration():
-    from itdom.oracle import _max_independent_sets
-
     rng = random.Random(808)
     for _ in range(60):
         g = random_graph(rng, rng.randint(1, 9), 0.4)
-        alpha, sets = _max_independent_sets(g)
+        alpha = naive_oracle(g)["alpha"]
+        sets = [
+            s
+            for s in combinations(range(g.n), alpha)
+            if not any(g.has_edge(u, v) for u, v in combinations(s, 2))
+        ]
         fam = omega(g)
         assert fam.alpha == alpha
-        assert sorted(fam.sets) == sorted(
-            sum(1 << v for v in s) for s in sets
-        )
+        assert sorted(fam.sets) == sorted(sum(1 << v for v in s) for s in sets)

@@ -87,7 +87,7 @@ def test_conj1_violated_on_petersen_complement():
     assert verdict.witness["gamma_it"] == 6
     assert verdict.witness["bound"] == 5
     # the reported values re-validate against the independent oracle
-    assert naive_oracle(g, "gamma_it") == 6
+    assert naive_oracle(g)["gamma_it"] == 6
 
 
 def test_lemma_21_on_petersen_complement():
@@ -104,8 +104,9 @@ def test_figure1_construction():
     assert bip is not None and min(bip.x.bit_count(), bip.y.bit_count()) == 2
     assert domination_number(g) == 2
     assert gamma_it(g)[0] == 3
-    assert naive_oracle(g, "gamma") == 2
-    assert naive_oracle(g, "gamma_it") == 3
+    oracle = naive_oracle(g)
+    assert oracle["gamma"] == 2
+    assert oracle["gamma_it"] == 3
 
 
 def test_figure1_splits_the_two_conditions():
@@ -188,7 +189,7 @@ def test_conjecture_1_has_order_6_counterexamples():
         g = next(
             e.graph for e in enumerate_connected_graphs(6) if e.graph6 == g6
         )
-        assert naive_oracle(g, "gamma_it") == 4 > 3
+        assert naive_oracle(g)["gamma_it"] == 4 > 3
 
 
 def test_pendant_condition_star():
@@ -269,8 +270,9 @@ def test_search_bipartite_half_gammait():
         assert r.values["gamma_it"] == 2
         assert r.values["gamma"] in (1, 2)
         # reported values re-verify through the oracle
-        assert naive_oracle(r.entry.graph, "gamma_it") == r.values["gamma_it"]
-        assert naive_oracle(r.entry.graph, "gamma") == r.values["gamma"]
+        oracle = naive_oracle(r.entry.graph)
+        assert oracle["gamma_it"] == r.values["gamma_it"]
+        assert oracle["gamma"] == r.values["gamma"]
 
 
 def test_search_bipartite_half_gammait_small_orders_empty():
