@@ -3,6 +3,9 @@
 All reports are byte-deterministic for a given invocation and version:
 entries are sorted by graph6 text, JSON keys are sorted, and the elapsed
 field is pinned to zero with actual wall time logged to stderr instead.
+Reports are written entry by entry as the results arrive, so memory does
+not grow with the number of graphs; a run that fails part way leaves an
+incomplete report on stdout and exits non-zero.
 """
 
 from __future__ import annotations
@@ -16,7 +19,9 @@ import os
 import sys
 import time
 import traceback
+from collections.abc import Iterable, Iterator
 from concurrent.futures import ProcessPoolExecutor
+from functools import partial
 from pathlib import Path
 
 from . import __version__
@@ -88,7 +93,10 @@ def _catalog_order(n: int) -> int:
     return n
 
 
-def _guard_orders(graphs: list[Graph]) -> None:
+def _corpus_lines(path: str | None) -> list[str]:
+    """The corpus as sorted graph6 lines, once every graph passed the order
+    guards; the parsed graphs are not kept."""
+    graphs = _read_corpus(path)
     for g in graphs:
         if g.n == 0:
             raise UsageError("order-0 graphs are not accepted by this command")
@@ -96,6 +104,7 @@ def _guard_orders(graphs: list[Graph]) -> None:
             raise SolverLimitError(
                 f"graph of order {g.n} exceeds the command limit of {CHECK_MAX_ORDER}"
             )
+    return sorted(encode_graph6(g) for g in graphs)
 
 
 # ---------------------------------------------------------------------------
@@ -157,33 +166,50 @@ def catalog_lines(n: int, connected: bool = True, use_cache: bool = True) -> lis
 # Work items (module level so worker processes can unpickle them)
 # ---------------------------------------------------------------------------
 
+# Largest number of work items a worker takes at once.  Small chunks return
+# results early, so the report is written while the workers compute.
+MAX_CHUNK = 64
 
-def _report_to_json(report: InvariantReport) -> dict:
+Verdicts = list[tuple[str, str]]  # (theorem id, status) per checked theorem
+
+
+def _csv_text(rows: list[list]) -> str:
+    buf = io.StringIO()
+    csv.writer(buf, lineterminator="\n").writerows(rows)
+    return buf.getvalue()
+
+
+def _render(entry: dict, rows: list[list], fmt: str) -> str:
+    """One entry exactly as the report holds it: its CSV rows, or its JSON
+    object two levels deep, every line four spaces further in than a
+    document of its own."""
+    if fmt == "csv":
+        return _csv_text(rows)
+    return "    " + json.dumps(entry, indent=2, sort_keys=True).replace("\n", "\n    ")
+
+
+# The invariant values of a report, in the order of its CSV columns.
+INVARIANT_KEYS = ("alpha", "beta", "matching", "gamma", "tau_i", "xi", "gamma_it", "gamma_t", "gamma_tt")
+
+
+def _report_to_json(report: InvariantReport) -> tuple[dict, dict]:
     mask_or_none = lambda m: None if m is None else members(m)  # noqa: E731
-    return {
-        "alpha": report.alpha,
-        "beta": report.beta,
-        "matching": report.matching,
-        "gamma": report.gamma,
-        "tau_i": report.tau_i,
-        "xi": report.xi,
-        "gamma_it": report.gamma_it,
-        "gamma_t": report.gamma_t,
-        "gamma_tt": report.gamma_tt,
-    }, {key: mask_or_none(m) for key, m in report.witnesses.items()}
+    values = {key: getattr(report, key) for key in INVARIANT_KEYS}
+    return values, {key: mask_or_none(m) for key, m in report.witnesses.items()}
 
 
-def _invariants_task(g6: str) -> dict:
+def _invariants_task(g6: str, fmt: str) -> tuple[str, Verdicts]:
     g = parse_graph6(g6)
     report = compute_report(g)
     values, witnesses = _report_to_json(report)
-    return {
+    entry = {
         "graph6": g6,
         "n": g.n,
         "invariants": values,
         "core": members(report.core),
         "witnesses": witnesses,
     }
+    return _render(entry, [[g6, g.n, *values.values()]], fmt), []
 
 
 def _verdicts(g: Graph, cache: InvariantCache, ids: tuple[str, ...]) -> list[dict]:
@@ -196,60 +222,93 @@ def _verdicts(g: Graph, cache: InvariantCache, ids: tuple[str, ...]) -> list[dic
     return verdicts
 
 
-def _verify_task(item: tuple[str, tuple[str, ...]]) -> dict:
-    g6, ids = item
+def _render_verdicts(entry: dict, key: list, fmt: str) -> tuple[str, Verdicts]:
+    """An entry with verdicts, rendered with one CSV row per verdict (``key``
+    then theorem and status), and its verdicts for the summary."""
+    verdicts = [(v["theorem"], v["status"]) for v in entry["verdicts"]]
+    return _render(entry, [[*key, *v] for v in verdicts], fmt), verdicts
+
+
+def _verify_task(g6: str, ids: tuple[str, ...], fmt: str) -> tuple[str, Verdicts]:
     g = parse_graph6(g6)
-    return {"graph6": g6, "n": g.n, "verdicts": _verdicts(g, InvariantCache(g), ids)}
+    entry = {"graph6": g6, "n": g.n, "verdicts": _verdicts(g, InvariantCache(g), ids)}
+    return _render_verdicts(entry, [g6], fmt)
 
 
-def _map_tasks(fn, items, jobs: int):
-    if jobs <= 1 or len(items) <= 1:
-        return [fn(item) for item in items]
-    chunk = max(1, len(items) // (jobs * 4))
-    with ProcessPoolExecutor(max_workers=jobs) as pool:
-        return list(pool.map(fn, items, chunksize=chunk))
+def _map_tasks(fn, items: list, jobs: int) -> Iterator:
+    """``fn`` over ``items``, yielded in input order as the results arrive.
+
+    No more workers start than there are items.  A failed item raises here,
+    when its result is reached, and the items not yet started are cancelled.
+    """
+    workers = min(jobs, len(items))
+    if workers <= 1:
+        yield from map(fn, items)
+        return
+    chunk = max(1, min(MAX_CHUNK, len(items) // (workers * 4)))
+    with ProcessPoolExecutor(max_workers=workers) as pool:
+        yield from pool.map(fn, items, chunksize=chunk)
 
 
 # ---------------------------------------------------------------------------
 # Report emission
 # ---------------------------------------------------------------------------
 
+# The entry line of a one-entry skeleton document (see _write_report).
+_ENTRY_SLOT = "\n    0\n"
 
-def _report(command: str, entries: list[dict], summary: dict) -> dict:
-    return {
+
+def _document(command: str, entries: list, summary: dict) -> str:
+    report = {
         "version": __version__,
         "command": command,
         "entries": entries,
         "summary": summary,
         "elapsed_ms": 0,
     }
+    return json.dumps(report, indent=2, sort_keys=True)
 
 
-def _emit(report: dict, fmt: str, csv_rows: tuple[list[str], list[list]]) -> None:
-    if fmt == "json":
-        sys.stdout.write(json.dumps(report, indent=2, sort_keys=True) + "\n")
-        return
-    header, rows = csv_rows
-    buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(header)
-    writer.writerows(rows)
-    sys.stdout.write(buf.getvalue())
-
-
-def _summarize_statuses(entries: list[dict]) -> dict:
+def _status_summary() -> dict:
     summary = {status.value: 0 for status in Status}
-    proven_violations = 0
-    for entry in entries:
-        for verdict in entry["verdicts"]:
-            summary[verdict["status"]] += 1
-            if (
-                verdict["status"] == Status.VIOLATED.value
-                and THEOREMS[verdict["theorem"]].expected == "proven"
-            ):
-                proven_violations += 1
-    summary["graphs"] = len(entries)
-    summary["proven_violations"] = proven_violations
+    summary["proven_violations"] = 0
+    return summary
+
+
+def _write_report(
+    command: str,
+    fmt: str,
+    header: list[str],
+    results: Iterable[tuple[str, Verdicts]],
+    summary: dict,
+) -> dict:
+    """Write one report to stdout, each rendered entry as ``results`` yields it.
+
+    In JSON the sorted keys put ``entries`` before ``summary``, so the
+    summary is tallied along the way and written after the last entry;
+    the bytes equal those of the whole document dumped at once.  Each
+    result carries the verdicts of its entry, counted into the summary's
+    status keys.  Returns the summary with the entry count as ``graphs``.
+    """
+    out = sys.stdout
+    summary = dict(summary, graphs=0)
+    if fmt == "csv":
+        out.write(_csv_text([header]))
+    head = _document(command, [0], {}).split(_ENTRY_SLOT)[0] + "\n"
+    for text, verdicts in results:
+        if fmt == "json":
+            out.write(",\n" if summary["graphs"] else head)
+        out.write(text)
+        summary["graphs"] += 1
+        for tid, status in verdicts:
+            summary[status] += 1
+            if status == Status.VIOLATED.value and THEOREMS[tid].expected == "proven":
+                summary["proven_violations"] += 1
+    if fmt == "json":
+        if summary["graphs"]:
+            out.write("\n" + _document(command, [0], summary).split(_ENTRY_SLOT)[1] + "\n")
+        else:
+            out.write(_document(command, [], summary) + "\n")
     return summary
 
 
@@ -259,17 +318,10 @@ def _summarize_statuses(entries: list[dict]) -> dict:
 
 
 def _cmd_invariants(args: argparse.Namespace, command: str) -> int:
-    graphs = _read_corpus(args.corpus)
-    _guard_orders(graphs)
-    items = sorted(encode_graph6(g) for g in graphs)
-    entries = _map_tasks(_invariants_task, items, args.jobs)
-    report = _report(command, entries, {"graphs": len(entries)})
-    header = ["graph6", "n"] + list(entries[0]["invariants"]) if entries else ["graph6", "n"]
-    rows = [
-        [e["graph6"], e["n"]] + [e["invariants"][k] for k in e["invariants"]]
-        for e in entries
-    ]
-    _emit(report, args.format, (header, rows))
+    items = _corpus_lines(args.corpus)
+    header = ["graph6", "n", *INVARIANT_KEYS] if items else ["graph6", "n"]
+    results = _map_tasks(partial(_invariants_task, fmt=args.format), items, args.jobs)
+    _write_report(command, args.format, header, results, {})
     return EXIT_OK
 
 
@@ -286,22 +338,14 @@ def _parse_theorem_ids(selector: str) -> tuple[str, ...]:
 def _cmd_verify(args: argparse.Namespace, command: str) -> int:
     ids = _parse_theorem_ids(args.theorems)
     if args.corpus is not None:
-        graphs = _read_corpus(args.corpus)
-        _guard_orders(graphs)
-        lines = sorted(encode_graph6(g) for g in graphs)
+        lines = _corpus_lines(args.corpus)
     else:
         lines = catalog_lines(
             _catalog_order(args.order), connected=True, use_cache=not args.no_cache
         )
-    entries = _map_tasks(_verify_task, [(g6, ids) for g6 in lines], args.jobs)
-    summary = _summarize_statuses(entries)
-    report = _report(command, entries, summary)
-    rows = [
-        [e["graph6"], v["theorem"], v["status"]]
-        for e in entries
-        for v in e["verdicts"]
-    ]
-    _emit(report, args.format, (["graph6", "theorem", "status"], rows))
+    results = _map_tasks(partial(_verify_task, ids=ids, fmt=args.format), lines, args.jobs)
+    header = ["graph6", "theorem", "status"]
+    summary = _write_report(command, args.format, header, results, _status_summary())
     return EXIT_OK if summary["proven_violations"] == 0 else EXIT_VERIFY_FAILED
 
 
@@ -332,14 +376,9 @@ def _cmd_counterexamples(args: argparse.Namespace, command: str) -> int:
             }
         )
     entries.sort(key=lambda e: e["graph6"])
-    summary = _summarize_statuses(entries)
-    report = _report(command, entries, summary)
-    rows = [
-        [e["name"], e["graph6"], v["theorem"], v["status"]]
-        for e in entries
-        for v in e["verdicts"]
-    ]
-    _emit(report, args.format, (["name", "graph6", "theorem", "status"], rows))
+    results = (_render_verdicts(e, [e["name"], e["graph6"]], args.format) for e in entries)
+    header = ["name", "graph6", "theorem", "status"]
+    _write_report(command, args.format, header, results, _status_summary())
     return EXIT_OK
 
 
@@ -349,10 +388,12 @@ def _cmd_search(args: argparse.Namespace, command: str) -> int:
         {"graph6": res.entry.graph6, "n": res.entry.order, "values": res.values}
         for res in search_extremal(args.mode, catalog)
     ]
-    report = _report(command, entries, {"graphs": len(entries), "mode": args.mode})
     keys = sorted({k for e in entries for k in e["values"]})
-    rows = [[e["graph6"]] + [e["values"].get(k) for k in keys] for e in entries]
-    _emit(report, args.format, (["graph6"] + keys, rows))
+    results = (
+        (_render(e, [[e["graph6"], *(e["values"].get(k) for k in keys)]], args.format), [])
+        for e in entries
+    )
+    _write_report(command, args.format, ["graph6", *keys], results, {"mode": args.mode})
     return EXIT_OK
 
 
@@ -361,9 +402,15 @@ def _cmd_search(args: argparse.Namespace, command: str) -> int:
 # ---------------------------------------------------------------------------
 
 
+def _worker_count(text: str) -> int:
+    if not text.isdigit() or int(text) < 1:
+        raise argparse.ArgumentTypeError(f"expected a whole number of at least 1, got {text!r}")
+    return int(text)
+
+
 def _add_common(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--format", choices=("json", "csv"), default="json")
-    parser.add_argument("--jobs", type=int, default=os.cpu_count() or 1, metavar="K")
+    parser.add_argument("--jobs", type=_worker_count, default=os.cpu_count() or 1, metavar="K")
     parser.add_argument("--no-cache", action="store_true")
 
 
@@ -372,15 +419,16 @@ def build_parser() -> argparse.ArgumentParser:
         prog="itdom",
         description="Exact domination/transversal invariants and exhaustive "
         "theorem verification over small-graph catalogs.",
+        allow_abbrev=False,
     )
     sub = parser.add_subparsers(dest="subcommand", required=True)
 
-    p_inv = sub.add_parser("invariants", help="full invariant report per input graph")
+    p_inv = sub.add_parser("invariants", allow_abbrev=False, help="full invariant report per input graph")
     p_inv.add_argument("--corpus", metavar="FILE", help="graph6 lines or an edge list; default stdin")
     _add_common(p_inv)
     p_inv.set_defaults(handler=_cmd_invariants)
 
-    p_ver = sub.add_parser("verify", help="run theorem checks over a corpus or catalog")
+    p_ver = sub.add_parser("verify", allow_abbrev=False, help="run theorem checks over a corpus or catalog")
     p_ver.add_argument("--theorems", default="all", metavar="IDS", help="comma-separated ids or 'all'")
     source = p_ver.add_mutually_exclusive_group(required=True)
     source.add_argument("--corpus", metavar="FILE")
@@ -388,17 +436,17 @@ def build_parser() -> argparse.ArgumentParser:
     _add_common(p_ver)
     p_ver.set_defaults(handler=_cmd_verify)
 
-    p_gen = sub.add_parser("generate", help="print the canonical graph6 catalog")
+    p_gen = sub.add_parser("generate", allow_abbrev=False, help="print the canonical graph6 catalog")
     p_gen.add_argument("--order", type=int, required=True, metavar="N")
     p_gen.add_argument("--all", action="store_true", help="include disconnected graphs")
     _add_common(p_gen)
     p_gen.set_defaults(handler=_cmd_generate)
 
-    p_ctr = sub.add_parser("counterexamples", help="reproduce the stock counterexamples")
+    p_ctr = sub.add_parser("counterexamples", allow_abbrev=False, help="reproduce the stock counterexamples")
     _add_common(p_ctr)
     p_ctr.set_defaults(handler=_cmd_counterexamples)
 
-    p_sea = sub.add_parser("search", help="extremal sweeps over a catalog order")
+    p_sea = sub.add_parser("search", allow_abbrev=False, help="extremal sweeps over a catalog order")
     p_sea.add_argument("mode", choices=SEARCH_MODES)
     p_sea.add_argument("--order", type=int, required=True, metavar="N")
     _add_common(p_sea)

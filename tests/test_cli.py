@@ -1,6 +1,10 @@
 """End-to-end CLI behavior: exit codes, report schema, determinism, workers."""
 
+import contextlib
+import importlib.util
+import io
 import json
+import tracemalloc
 from pathlib import Path
 
 import pytest
@@ -8,9 +12,11 @@ import pytest
 from itdom import complement, encode_graph6, petersen
 from itdom import cli
 from itdom.cli import main
+from itdom.invariants import SolverLimitError
 from itdom.theorems import THEOREMS, Theorem
 
 FIXTURES = Path(__file__).parent / "fixtures"
+ROOT = Path(__file__).resolve().parent.parent
 
 
 @pytest.fixture(autouse=True)
@@ -241,14 +247,155 @@ def test_search_modes(capsys):
     assert json.loads(out)["entries"] == []
 
 
-def test_jobs_do_not_change_output(capsys):
-    _, serial, _ = run_cli(
-        capsys, "verify", "--order", "5", "--theorems", "all", "--jobs", "1"
+def _fixture_corpus(tmp_path):
+    """The fixture corpus without its order-0 graph, which no report accepts."""
+    corpus = tmp_path / "fixture.g6"
+    lines = (FIXTURES / "corpus.g6").read_text().splitlines()
+    corpus.write_text("".join(f"{ln}\n" for ln in lines if ln != "?"))
+    return str(corpus)
+
+
+def test_jobs_do_not_change_output(capsys, tmp_path):
+    for argv in (
+        ("verify", "--order", "5", "--theorems", "all"),
+        ("verify", "--order", "5", "--theorems", "all", "--format", "csv"),
+        ("invariants", "--corpus", _fixture_corpus(tmp_path)),
+    ):
+        code, serial, _ = run_cli(capsys, *argv, "--jobs", "1")
+        assert code == 0
+        _, parallel, _ = run_cli(capsys, *argv, "--jobs", "2")
+        assert serial == parallel, argv
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("invariants", "--corpus", "FIXTURE"),
+        ("invariants", "--corpus", "EMPTY"),
+        ("verify", "--corpus", "FIXTURE", "--theorems", "all"),
+        ("verify", "--corpus", "EMPTY"),
+        ("search", "max_tau_i", "--order", "6"),
+        ("search", "bipartite_half_gammait", "--order", "2"),
+        ("counterexamples",),
+    ],
+)
+def test_json_report_is_one_sorted_document(capsys, tmp_path, argv):
+    # Streamed entry by entry, the report still has the bytes of one dump.
+    empty = tmp_path / "empty.g6"
+    empty.write_text("")
+    files = {"FIXTURE": _fixture_corpus(tmp_path), "EMPTY": str(empty)}
+    code, out, _ = run_cli(capsys, *(files.get(arg, arg) for arg in argv), "--jobs", "1")
+    assert code == 0
+    canonical = json.dumps(json.loads(out), indent=2, sort_keys=True) + "\n"
+    # Line lists, so that a failure names the first differing line quickly.
+    assert out.splitlines(keepends=True) == canonical.splitlines(keepends=True)
+
+
+@pytest.mark.parametrize("flag", [("--job", "1"), ("--no-c",)])
+def test_abbreviated_flags_are_rejected(capsys, tmp_path, flag):
+    # An abbreviation would reach the command echo, which leaves out --jobs
+    # and --no-cache only when they are spelled out.
+    corpus = tmp_path / "one.g6"
+    corpus.write_text("Cl\n")
+    with pytest.raises(SystemExit) as exc:
+        main(["verify", "--corpus", str(corpus), *flag])
+    assert exc.value.code == 2
+    assert capsys.readouterr().out == ""
+
+
+@pytest.mark.parametrize("jobs", ["0", "-3", "two"])
+def test_jobs_must_be_positive(capsys, jobs):
+    with pytest.raises(SystemExit) as exc:
+        main(["verify", "--order", "3", "--jobs", jobs])
+    assert exc.value.code == 2
+    assert "--jobs" in capsys.readouterr().err
+
+
+def test_no_more_workers_than_items(capsys, monkeypatch, tmp_path):
+    started = []
+
+    class InlineExecutor:
+        """Records its worker count and runs the work in this process."""
+
+        def __init__(self, max_workers):
+            started.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc_info):
+            return False
+
+        def map(self, fn, items, chunksize=1):
+            return map(fn, items)
+
+    monkeypatch.setattr(cli, "ProcessPoolExecutor", InlineExecutor)
+    corpus = tmp_path / "two.g6"
+    corpus.write_text("Cl\nCs\n")
+    code, out, _ = run_cli(capsys, "verify", "--corpus", str(corpus), "--jobs", "8")
+    assert code == 0
+    assert started == [2]
+    assert json.loads(out)["summary"]["graphs"] == 2
+    corpus.write_text("Cl\n")
+    code, _, _ = run_cli(capsys, "verify", "--corpus", str(corpus), "--jobs", "8")
+    assert code == 0
+    assert started == [2]
+
+
+@pytest.mark.parametrize("jobs", ["1", "2"])
+@pytest.mark.parametrize(
+    ("error", "exit_code"),
+    [(KeyError("check bug"), 4), (SolverLimitError("check limit"), 3)],
+)
+def test_failure_mid_stream_is_not_a_report(capsys, monkeypatch, tmp_path, jobs, error, exit_code):
+    # The registry entry fails on the second graph of three, after the first
+    # entry was written; worker processes inherit the patched registry.
+    def fail_on_second(g, cache):
+        if encode_graph6(g) == "Cr":
+            raise error
+        return True, {}
+
+    monkeypatch.setitem(THEOREMS, "FAILS", Theorem("FAILS", "proven", "fails", fail_on_second))
+    corpus = tmp_path / "three.g6"
+    corpus.write_text("Cl\nCr\nCs\n")
+    code, out, err = run_cli(
+        capsys, "verify", "--corpus", str(corpus), "--theorems", "FAILS", "--jobs", jobs
     )
-    _, parallel, _ = run_cli(
-        capsys, "verify", "--order", "5", "--theorems", "all", "--jobs", "2"
-    )
-    assert serial == parallel
+    assert code == exit_code
+    assert str(error.args[0]) in err
+    if exit_code == 4:
+        assert "Traceback" in err
+    with pytest.raises(json.JSONDecodeError):
+        json.loads(out)
+
+
+class _Discard(io.TextIOBase):
+    def write(self, text):
+        return len(text)
+
+
+def _verify_peak_bytes(tmp_path, lines):
+    corpus = tmp_path / f"sweep-{len(lines)}.g6"
+    corpus.write_text("".join(f"{ln}\n" for ln in lines))
+    tracemalloc.start()
+    try:
+        with contextlib.redirect_stdout(_Discard()):
+            code = main(["verify", "--corpus", str(corpus), "--jobs", "1"])
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert code == 0
+    return peak
+
+
+def test_verify_memory_does_not_grow_with_graphs(tmp_path):
+    spec = importlib.util.spec_from_file_location("corpora", ROOT / "bench" / "corpora.py")
+    corpora = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(corpora)
+    sweep = corpora.verify_sweep(0, 600)
+    small = _verify_peak_bytes(tmp_path, sweep[:150])
+    large = _verify_peak_bytes(tmp_path, sweep)
+    assert large < 2 * small, (small, large)
 
 
 def test_csv_output(capsys, tmp_path):
