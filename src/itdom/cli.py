@@ -20,7 +20,6 @@ import sys
 import time
 import traceback
 from collections.abc import Iterable, Iterator
-from concurrent.futures import ProcessPoolExecutor
 from functools import partial
 from pathlib import Path
 
@@ -245,6 +244,9 @@ def _map_tasks(fn, items: list, jobs: int) -> Iterator:
     if workers <= 1:
         yield from map(fn, items)
         return
+    # Imported here, so that a serial run does not pay for importing the pool.
+    from concurrent.futures import ProcessPoolExecutor
+
     chunk = max(1, min(MAX_CHUNK, len(items) // (workers * 4)))
     with ProcessPoolExecutor(max_workers=workers) as pool:
         yield from pool.map(fn, items, chunksize=chunk)

@@ -6,7 +6,13 @@ open neighbourhoods N(v), ``tau_i`` of the maximum independent sets Omega,
 ``gamma_it`` of {N[v]} + Omega and ``gamma_tt`` of {N(v)} + Omega.  One
 branch-and-bound kernel (``_min_hitting_size``) finds every value, and one
 enumerator (``_hitting_sets``) lists the optimal sets in increasing bitmask
-order, so each reported witness is the least optimum by mask value.
+order, so each reported witness is the least optimum by mask value.  Both
+sort the family by set size and bound with a greedy packing of pairwise
+disjoint unhit sets, each of which needs its own hitter (``_packs``; the
+matching bound of exact dominating-set search, van Rooij and Bodlaender,
+Discrete Appl. Math. 159, 2011).  The value search also keeps the counting
+bound ceil(#unhit / widest) as its first test, and packs only when, at the
+root, packing beats counting.
 ``InvariantCache`` is the single evaluator: it computes each invariant of a
 graph at most once, and the public functions and ``compute_report`` read it.
 
@@ -126,26 +132,63 @@ def omega(g: Graph) -> OmegaFamily:
 def _incidence(sets: Sequence[int], n: int) -> list[int]:
     """hits[v] for v < n: the bitmask of indices of the sets containing v."""
     hits = [0] * n
-    for i, s in enumerate(sets):
-        bit = 1 << i
-        for v in iter_bits(s):
-            hits[v] |= bit
+    bit = 1
+    for s in sets:  # iter_bits inlined: this loop leads the kernels' time on small graphs
+        while s:
+            low = s & -s
+            hits[low.bit_length() - 1] |= bit
+            s ^= low
+        bit <<= 1
     return hits
+
+
+def _packs(sets: Sequence[int], unhit: int, need: int, room: int) -> bool:
+    """True when ``need`` of the unhit sets, each cut down to ``room``, are
+    pairwise disjoint, found greedily in index order.
+
+    Disjoint sets need distinct hitters, so ``need`` is then a lower bound
+    on the size of any hitting set drawn from ``room``.  Both kernels sort
+    ``sets`` by size, so the walk takes the smallest sets first, and pass
+    ``unhit`` masked to the first ``n`` indices, ``n`` being the number of
+    vertices: no more than ``n`` nonempty sets are disjoint, and walking a
+    large Omega bit by bit costs more than it cuts.
+    """
+    if unhit.bit_count() < need:
+        return False
+    used = 0
+    while unhit:
+        low = unhit & -unhit
+        unhit ^= low
+        s = sets[low.bit_length() - 1] & room
+        if not s & used:
+            need -= 1
+            if not need:
+                return True
+            used |= s
+    return False
 
 
 def _min_hitting_size(sets: Sequence[int], low: int = 0) -> int:
     """Least size of a vertex set meeting every (nonempty) set in ``sets``.
 
-    Branch and bound on the first unhit set, over a bitmask of unhit set
-    indices.  The greedy most-frequent-vertex cover is the first upper
-    bound; a branch is cut when ``count + ceil(#unhit / widest)`` cannot
-    beat it, ``widest`` being the most sets one vertex meets.  ``low`` is a
-    known lower bound: the search stops once a hitting set of that size is
-    found.
+    Branch and bound on the smallest unhit set, over a bitmask of unhit set
+    indices in size order.  The greedy most-frequent-vertex cover is the
+    first upper bound.  A branch is cut when ``count + ceil(#unhit /
+    widest)`` cannot beat it, ``widest`` being the most sets one vertex
+    meets, or else when ``count`` plus a packing of pairwise-disjoint unhit
+    sets cannot (``_packs``).  The packing runs in the search only when, at
+    the root, it beats the same counting bound taken over the sets it
+    looks at: on disjoint triangles, where it does not, it never cuts and
+    only costs time.  ``low`` is a known lower bound: the search stops once
+    a hitting set of that size is found.
     """
-    hits = _incidence(sets, max(sets, default=0).bit_length())
+    sets = sorted(sets, key=int.bit_count)
+    n = max(sets, default=0).bit_length()
+    hits = _incidence(sets, n)
     widest = max((h.bit_count() for h in hits), default=1)
     everything = (1 << len(sets)) - 1
+    room = (1 << n) - 1
+    head = everything & room  # the n smallest sets
     unhit = everything
     best = 0
     while unhit:
@@ -154,6 +197,10 @@ def _min_hitting_size(sets: Sequence[int], low: int = 0) -> int:
             raise ValueError("an empty set cannot be hit")
         unhit &= ~pick
         best += 1
+    if best <= low or _packs(sets, head, best, room):
+        return best
+    head_widest = max((h & head).bit_count() for h in hits)
+    packing = _packs(sets, head, 1 - (-head.bit_count() // head_widest), room)
 
     def search(unhit: int, count: int) -> bool:
         """Improve ``best`` below this node; True once ``low`` is reached."""
@@ -161,7 +208,10 @@ def _min_hitting_size(sets: Sequence[int], low: int = 0) -> int:
         if not unhit:
             best = count
             return count <= low
-        if count - (-unhit.bit_count() // widest) >= best:
+        need = best - count
+        if -(-unhit.bit_count() // widest) >= need:
+            return False
+        if packing and _packs(sets, unhit & head, need, room):
             return False
         first = (unhit & -unhit).bit_length() - 1
         for v in iter_bits(sets[first]):
@@ -169,8 +219,7 @@ def _min_hitting_size(sets: Sequence[int], low: int = 0) -> int:
                 return True
         return False
 
-    if best > low:
-        search(everything, 0)
+    search(everything, 0)
     return best
 
 
@@ -178,23 +227,32 @@ def _hitting_sets(sets: Sequence[int], k: int, below: int) -> Iterator[int]:
     """Every k-subset of [0, below) meeting all ``sets``, in increasing bitmask order.
 
     The highest element is chosen first, in ascending order, then the rest
-    below it the same way; a branch is cut as soon as some unhit set has no
-    element left below the next choice.  ``sets`` must lie inside [0, below).
+    below it the same way.  A branch is cut as soon as some unhit set has
+    no element left below the next choice, or when more unhit sets than
+    elements still to choose are pairwise disjoint once cut down to the
+    range still open (``_packs``).  Neither cut drops a k-subset that meets
+    every set, so the sequence is that of the plain sweep.  ``sets`` must
+    lie inside [0, below).
     """
+    sets = sorted(sets, key=int.bit_count)
     hits = _incidence(sets, below)
     # stranded[t] & unhit: the unhit sets with no element <= t.
     stranded = [~seen for seen in accumulate(hits, int.__or__)]
+    everything = (1 << len(sets)) - 1
+    head = everything & ((1 << below) - 1)
 
     def extend(unhit: int, k: int, below: int, chosen: int) -> Iterator[int]:
         if k == 0:
             if not unhit:
                 yield chosen
             return
+        if _packs(sets, unhit & head, k + 1, (1 << below) - 1):
+            return
         for t in range(k - 1, below):
             if not unhit & stranded[t]:
                 yield from extend(unhit & ~hits[t], k - 1, t, chosen | 1 << t)
 
-    return extend((1 << len(sets)) - 1, k, below, 0)
+    return extend(everything, k, below, 0)
 
 
 # ---------------------------------------------------------------------------

@@ -27,7 +27,7 @@ from .graphs import (
 )
 from .invariants import InvariantCache, SolverLimitError, omega, tau_i
 
-CHECK_MAX_ORDER = 20
+CHECK_MAX_ORDER = 32
 
 
 class Status(enum.Enum):

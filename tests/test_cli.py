@@ -4,6 +4,9 @@ import contextlib
 import importlib.util
 import io
 import json
+import os
+import subprocess
+import sys
 import tracemalloc
 from pathlib import Path
 
@@ -13,7 +16,7 @@ from itdom import complement, encode_graph6, petersen
 from itdom import cli
 from itdom.cli import main
 from itdom.invariants import SolverLimitError
-from itdom.theorems import THEOREMS, Theorem
+from itdom.theorems import CHECK_MAX_ORDER, THEOREMS, Theorem
 
 FIXTURES = Path(__file__).parent / "fixtures"
 ROOT = Path(__file__).resolve().parent.parent
@@ -28,6 +31,13 @@ def run_cli(capsys, *argv):
     code = main(list(argv))
     captured = capsys.readouterr()
     return code, captured.out, captured.err
+
+
+def lines(text):
+    """A report as a line list: a mismatch then names its first differing
+    line at once, where a whole-string compare of a large report can take
+    minutes to diff."""
+    return text.splitlines(keepends=True)
 
 
 def test_invariants_json_schema(capsys, tmp_path):
@@ -108,10 +118,14 @@ def test_internal_error_exit_4(capsys, monkeypatch, tmp_path):
 
 
 def test_invariants_order_limit_exit_3(capsys, tmp_path):
-    from itdom import Graph
+    from itdom import Graph, path
 
     corpus = tmp_path / "big.g6"
-    corpus.write_text(encode_graph6(Graph(21)) + "\n")
+    corpus.write_text(encode_graph6(path(CHECK_MAX_ORDER)) + "\n")
+    code, out, _ = run_cli(capsys, "invariants", "--corpus", str(corpus), "--jobs", "1")
+    assert code == 0
+    assert json.loads(out)["entries"][0]["invariants"]["gamma"] == (CHECK_MAX_ORDER + 2) // 3
+    corpus.write_text(encode_graph6(Graph(CHECK_MAX_ORDER + 1)) + "\n")
     code, _, err = run_cli(capsys, "invariants", "--corpus", str(corpus))
     assert code == 3
     assert "limit:" in err
@@ -129,7 +143,7 @@ def test_generate_counts_and_determinism(capsys):
     assert len(out3.splitlines()) == 2
     # cached second run is byte-identical
     code, out_again, _ = run_cli(capsys, "generate", "--order", "4")
-    assert out_again == out
+    assert lines(out_again) == lines(out)
 
 
 def test_generate_rejects_bad_order(capsys):
@@ -208,7 +222,7 @@ def test_counterexamples_content_and_determinism(capsys):
     code, out1, _ = run_cli(capsys, "counterexamples", "--jobs", "1")
     assert code == 0
     code, out2, _ = run_cli(capsys, "counterexamples", "--jobs", "1")
-    assert out1 == out2  # byte-identical reports
+    assert lines(out1) == lines(out2)  # byte-identical reports
     report = json.loads(out1)
     by_name = {e["name"]: e for e in report["entries"]}
     cp = by_name["petersen_complement"]
@@ -264,7 +278,7 @@ def test_jobs_do_not_change_output(capsys, tmp_path):
         code, serial, _ = run_cli(capsys, *argv, "--jobs", "1")
         assert code == 0
         _, parallel, _ = run_cli(capsys, *argv, "--jobs", "2")
-        assert serial == parallel, argv
+        assert lines(serial) == lines(parallel), argv
 
 
 @pytest.mark.parametrize(
@@ -287,8 +301,7 @@ def test_json_report_is_one_sorted_document(capsys, tmp_path, argv):
     code, out, _ = run_cli(capsys, *(files.get(arg, arg) for arg in argv), "--jobs", "1")
     assert code == 0
     canonical = json.dumps(json.loads(out), indent=2, sort_keys=True) + "\n"
-    # Line lists, so that a failure names the first differing line quickly.
-    assert out.splitlines(keepends=True) == canonical.splitlines(keepends=True)
+    assert lines(out) == lines(canonical)
 
 
 @pytest.mark.parametrize("flag", [("--job", "1"), ("--no-c",)])
@@ -329,7 +342,7 @@ def test_no_more_workers_than_items(capsys, monkeypatch, tmp_path):
         def map(self, fn, items, chunksize=1):
             return map(fn, items)
 
-    monkeypatch.setattr(cli, "ProcessPoolExecutor", InlineExecutor)
+    monkeypatch.setattr("concurrent.futures.ProcessPoolExecutor", InlineExecutor)
     corpus = tmp_path / "two.g6"
     corpus.write_text("Cl\nCs\n")
     code, out, _ = run_cli(capsys, "verify", "--corpus", str(corpus), "--jobs", "8")
@@ -340,6 +353,16 @@ def test_no_more_workers_than_items(capsys, monkeypatch, tmp_path):
     code, _, _ = run_cli(capsys, "verify", "--corpus", str(corpus), "--jobs", "8")
     assert code == 0
     assert started == [2]
+
+
+def test_cli_import_leaves_the_process_pool_out():
+    # A serial run never starts a pool, so it should not pay for its import.
+    code = "import sys, itdom.cli; print('concurrent.futures.process' in sys.modules)"
+    env = {**os.environ, "PYTHONPATH": str(ROOT / "src")}
+    out = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True, env=env, check=True
+    ).stdout
+    assert out == "False\n"
 
 
 @pytest.mark.parametrize("jobs", ["1", "2"])
@@ -425,7 +448,7 @@ def test_csv_output(capsys, tmp_path):
 def test_no_cache_flag_regenerates(capsys, tmp_path):
     code, first, _ = run_cli(capsys, "generate", "--order", "5")
     code, second, _ = run_cli(capsys, "generate", "--order", "5", "--no-cache")
-    assert first == second
+    assert lines(first) == lines(second)
 
 
 def _catalog_cache_files(tmp_path):
@@ -439,7 +462,7 @@ def test_truncated_catalog_cache_is_regenerated(capsys, tmp_path):
     code, out, _ = run_cli(capsys, "verify", "--order", "6", "--theorems", "EQ1", "--jobs", "1")
     assert code == 0
     assert json.loads(out)["summary"]["graphs"] == 112
-    assert cached.read_text() == full
+    assert lines(cached.read_text()) == lines(full)
     assert not list(cached.parent.glob("*.tmp"))
 
 
@@ -447,14 +470,14 @@ def test_tampered_catalog_cache_is_regenerated(capsys, tmp_path):
     # Right length, every line a valid order-5 graph6 line, but one graph wrong.
     code, full, _ = run_cli(capsys, "generate", "--order", "5", "--all")
     (cached,) = _catalog_cache_files(tmp_path)
-    lines = full.splitlines()
-    lines[0] = lines[1]
-    cached.write_text("\n".join(lines) + "\n")
+    rows = full.splitlines()
+    rows[0] = rows[1]
+    cached.write_text("\n".join(rows) + "\n")
     code, out, _ = run_cli(capsys, "generate", "--order", "5", "--all")
     assert code == 0
-    assert out == full
+    assert lines(out) == lines(full)
     assert _catalog_cache_files(tmp_path) == [cached]
-    assert cached.read_text() == full
+    assert lines(cached.read_text()) == lines(full)
 
 
 def test_one_catalog_cache_file_per_order(capsys, tmp_path):
@@ -469,7 +492,7 @@ def test_search_no_cache_matches_cached(capsys):
     _, cold, _ = run_cli(capsys, *argv)
     _, warm, _ = run_cli(capsys, *argv)
     _, uncached, _ = run_cli(capsys, *argv, "--no-cache")
-    assert cold == warm == uncached
+    assert lines(cold) == lines(warm) == lines(uncached)
     assert json.loads(cold)["entries"]
 
 

@@ -34,7 +34,7 @@ from itdom import (
     tau_i,
 )
 from itdom.invariants import SolverLimitError
-from itdom.theorems import InvariantCache
+from itdom.theorems import CHECK_MAX_ORDER, InvariantCache
 
 from helpers import canonical_graph6, is_c4
 
@@ -49,7 +49,7 @@ def test_check_unknown_id_and_order_guard():
     with pytest.raises(KeyError, match="unknown theorem id"):
         check("T9.9", cycle(4))
     with pytest.raises(SolverLimitError):
-        check("EQ1", Graph(21))
+        check("EQ1", Graph(CHECK_MAX_ORDER + 1))
 
 
 def test_check_rejects_a_cache_of_another_graph():
