@@ -1,9 +1,14 @@
-"""Brute-force canonical forms and isomorphism-free small-graph catalogs.
+"""Canonical forms by an exhaustive narrowing search, and isomorphism-free
+small-graph catalogs.
 
 The canonical form of a graph is the relabeling minimizing the
 upper-triangle bit encoding x(0,1), x(0,2), x(1,2), x(0,3), ... read as a
 big-endian bit string -- the same bit order graph6 uses, so sorting
-catalog entries by canonical graph6 text equals sorting by encoding.
+catalog entries by canonical graph6 text equals sorting by encoding.  The
+search places vertices one label at a time and keeps every placement
+prefix whose columns are least so far; a prefix finds its least next
+column with bitmask operations, by narrowing its set of free vertices to
+the non-neighbours of each placed vertex in turn.
 
 Only connected graphs are generated, by vertex extension; the catalog of
 all graphs adds the disconnected complements of the connected entries.
@@ -14,10 +19,10 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import lru_cache
 
-from .graphs import Graph, complement, encode_graph6, is_connected, iter_bits
+from .graphs import Graph, complement, encode_graph6, is_connected
 
 CANONICAL_MAX_ORDER = 9
-CATALOG_MAX_ORDER = 7
+CATALOG_MAX_ORDER = 8
 
 
 @dataclass(frozen=True)
@@ -34,35 +39,66 @@ def _canonical_cols(adj: tuple[int, ...], n: int) -> tuple[tuple[int, ...], list
 
     Works level by level: a placement prefix fixes columns 1..j of the
     encoding, and the lexicographic minimum is obtained by keeping, at each
-    level, exactly the prefixes whose next column is minimal.  The returned
-    placements map new label -> original vertex; for an already-canonical
-    graph they are precisely its automorphisms.
+    level, exactly the prefixes whose next column is minimal.  Column j of
+    a free vertex is its adjacency to the placed vertices in order, most
+    significant bit first, so the least next column of a prefix comes from
+    narrowing its free set along the placed sequence: to the non-neighbours
+    of each placed vertex (a 0 bit) unless none are left (a 1 bit, set
+    unchanged).  What remains, ``reach``, is exactly the set of free
+    vertices attaining that column.  Extending a prefix by ``v`` in
+    ``reach`` only appends ``v`` to that walk while ``reach`` holds another
+    vertex: the least column over the old placed vertices is unchanged and
+    attained by ``reach - v``, so one narrowing step by ``v`` finishes it.
+    Only when ``v`` was the sole vertex of ``reach`` is the walk redone.
+    The returned placements map new label -> original vertex; for an
+    already-canonical graph they are precisely its automorphisms.
     """
     if n <= 1:
         return (), [tuple(range(n))]
-    frontier: list[tuple[tuple[int, ...], int]] = [((v,), 1 << v) for v in range(n)]
-    cols = []
-    for j in range(1, n):
-        best_col = None
-        nxt: list[tuple[tuple[int, ...], int]] = []
-        for placed, used in frontier:
-            for v in range(n):
-                if (used >> v) & 1:
-                    continue
-                row = adj[v]
-                col = 0
-                shift = j - 1
-                for p in placed:
-                    col |= ((row >> p) & 1) << shift
-                    shift -= 1
-                if best_col is None or col < best_col:
+    full = (1 << n) - 1
+    non = [full ^ row for row in adj]
+    # (placed, free, reach): reach holds the free vertices attaining the least next column
+    frontier: list[tuple[tuple[int, ...], int, int]] = [((), full, full)]
+    cols: list[int] = []
+    prev = 0  # the least column of the last level, shared by every prefix kept
+    for _ in range(1, n):
+        best_col = full  # above every column: a column has fewer than n bits
+        best: list[tuple[tuple[int, ...], int, int]] = []
+        for placed, free, reach in frontier:
+            m = reach
+            while m:  # iter_bits inlined: this loop is the labeling's inner loop
+                bit = m & -m
+                m ^= bit
+                v = bit.bit_length() - 1
+                rest = reach ^ bit
+                if rest:
+                    col = prev
+                else:
+                    col = 0
+                    rest = free ^ bit
+                    for p in placed:
+                        narrowed = rest & non[p]
+                        if narrowed:
+                            rest = narrowed
+                            col <<= 1
+                        else:
+                            col = (col << 1) | 1
+                narrowed = rest & non[v]
+                if narrowed:
+                    rest = narrowed
+                    col <<= 1
+                else:
+                    col = (col << 1) | 1
+                if col < best_col:
                     best_col = col
-                    nxt = [(placed + (v,), used | (1 << v))]
+                    best = [(placed + (v,), free ^ bit, rest)]
                 elif col == best_col:
-                    nxt.append((placed + (v,), used | (1 << v)))
+                    best.append((placed + (v,), free ^ bit, rest))
         cols.append(best_col)
-        frontier = nxt
-    return tuple(cols), [placed for placed, _ in frontier]
+        frontier = best
+        prev = best_col
+    # each prefix kept at the last level has one free vertex left: it takes label n - 1
+    return tuple(cols), [placed + (free.bit_length() - 1,) for placed, free, _ in frontier]
 
 
 def _graph_from_cols(cols: tuple[int, ...], n: int) -> Graph:
@@ -79,7 +115,7 @@ def canonical_form(g: Graph) -> Graph:
     """Canonically labeled copy; equal canonical forms iff isomorphic."""
     if g.n > CANONICAL_MAX_ORDER:
         raise ValueError(
-            f"canonical form is brute force and limited to n <= {CANONICAL_MAX_ORDER}"
+            f"canonical form is an exhaustive search and limited to n <= {CANONICAL_MAX_ORDER}"
         )
     cols, _ = _canonical_cols(g.adj, g.n)
     return _graph_from_cols(cols, g.n)
@@ -97,8 +133,11 @@ def _orbit_reps(n: int, autos: list[tuple[int, ...]]) -> list[int]:
         reps.append(mask)
         for p in autos:
             img = 0
-            for i in iter_bits(mask):
-                img |= 1 << p[i]
+            m = mask
+            while m:  # iter_bits inlined: this runs once per mask per automorphism
+                low = m & -m
+                img |= 1 << p[low.bit_length() - 1]
+                m ^= low
             seen.add(img)
     return reps
 

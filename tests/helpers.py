@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 import random
-from itertools import combinations
+from itertools import combinations, permutations
 
 import networkx as nx
 
@@ -12,6 +12,13 @@ from itdom import Graph, canonical_form, cycle, encode_graph6, is_connected, ite
 
 def canonical_graph6(g: Graph) -> str:
     return encode_graph6(canonical_form(g))
+
+
+def to_networkx(g: Graph) -> nx.Graph:
+    """The same graph in networkx, isolated vertices included."""
+    h = nx.empty_graph(g.n)
+    h.add_edges_from(g.edges())
+    return h
 
 
 def random_graph(rng: random.Random, n: int, p: float) -> Graph:
@@ -77,6 +84,29 @@ def raw_connected_sweep(n: int) -> list[str]:
         if is_connected(g):
             found.add(canonical_graph6(g))
     return sorted(found)
+
+
+def brute_canonical_cols(g: Graph) -> tuple[tuple[int, ...], set[tuple[int, ...]]]:
+    """Definitional reference for ``catalog._canonical_cols``: the least
+    column encoding over every relabeling, and the set of placements (new
+    label -> original vertex) that reach it.  Column j holds the adjacency
+    of label j to labels 0..j-1, label 0 as the most significant bit."""
+    best = None
+    reaching: set[tuple[int, ...]] = set()
+    for perm in permutations(range(g.n)):
+        cols = []
+        for j in range(1, g.n):
+            row = g.adj[perm[j]]
+            col = 0
+            for i in range(j):
+                col = (col << 1) | ((row >> perm[i]) & 1)
+            cols.append(col)
+        key = tuple(cols)
+        if best is None or key < best:
+            best, reaching = key, {perm}
+        elif key == best:
+            reaching.add(perm)
+    return best, reaching
 
 
 def is_c4(g: Graph) -> bool:

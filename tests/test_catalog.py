@@ -1,12 +1,15 @@
 """Canonical forms and the isomorphism-free catalogs."""
 
+import hashlib
 import random
 
 import pytest
 
 from itdom import (
+    Graph,
     canonical_form,
     complete,
+    complete_bipartite,
     cycle,
     enumerate_connected_graphs,
     enumerate_graphs,
@@ -16,10 +19,39 @@ from itdom import (
     star,
 )
 
-from helpers import canonical_graph6, random_graph, random_permutation, raw_connected_sweep
+from itdom.catalog import _canonical_cols
 
-CONNECTED_COUNTS = {1: 1, 2: 1, 3: 2, 4: 6, 5: 21, 6: 112, 7: 853}
-ALL_COUNTS = {1: 1, 2: 2, 3: 4, 4: 11, 5: 34, 6: 156, 7: 1044}
+from helpers import (
+    brute_canonical_cols,
+    canonical_graph6,
+    random_graph,
+    random_permutation,
+    raw_connected_sweep,
+    to_networkx,
+)
+
+CONNECTED_COUNTS = {1: 1, 2: 1, 3: 2, 4: 6, 5: 21, 6: 112, 7: 853, 8: 11117}  # OEIS A001349
+ALL_COUNTS = {1: 1, 2: 2, 3: 4, 4: 11, 5: 34, 6: 156, 7: 1044, 8: 12346}  # OEIS A000088
+
+# SHA-256 of the sorted graph6 lines (each ending in a newline) of
+# enumerate_connected_graphs(n) and enumerate_graphs(n), recorded from the
+# column-by-column labeling search that the bitmask narrowing replaced.
+CATALOG_DIGESTS = {
+    1: ("ecf5de1a2ecc66a1876a832804c64f6b5125784e94c82285d9720621c613ab46",
+        "ecf5de1a2ecc66a1876a832804c64f6b5125784e94c82285d9720621c613ab46"),
+    2: ("fae4bfc454bd04363dcd5222772f2973b1193e1ff6f676e822a427323a677ef9",
+        "b7cd2a004ade86133158ffa94292f1d79a1fa154874706bf33b9e841cd3fa4cb"),
+    3: ("5966edf890849db6cb03626431916231a81a30c9db9a4781a4a8f2e5dc7e6129",
+        "1d237c0da1c599bbd8f4cffdf1fd13171099276e9ca335a1e0c819e4be9b2bea"),
+    4: ("b0024cb6b9eb3ef85ae992cd8b602640c1806b2e8f7e7a2cf8c6d7ab7603aee5",
+        "4779a12d9a07b2a2e13924257ea8b573ba0bd3af65d263532115d2ee564e7762"),
+    5: ("0e90fd086c9d638cd8fdc133931d35474b837a0a953beae89ae1015692920f61",
+        "20785da1cf32ff06b5c7830950a3525a00c0ffc56e24213a2047c413effdf161"),
+    6: ("d0b7bbaf90fd1e431c1ae94492b7f36644d7c3e78069161158a3179ab145d0b2",
+        "6ba261a8381f12c8b4b59ae2c7715cee98a31b3f4c6b5a6bea5ef4eba006a0fc"),
+    7: ("f39a11e21a91db326d834f8e3bf6d5ae85c0f04d6077d08cfbaeecbc572b0a93",
+        "e3eee2a6b5beecaa47bee1b0d67a6a982c0e5e2c0067993d735036d3c9d6512f"),
+}
 
 
 def test_canonical_invariant_under_relabeling():
@@ -40,6 +72,22 @@ def test_canonical_c4_relabelings_agree():
     b = permute(a, [0, 2, 1, 3])
     assert a != b
     assert canonical_form(a) == canonical_form(b)
+
+
+def test_canonical_cols_match_permutation_definition():
+    rng = random.Random(1010)
+    graphs = [random_graph(rng, rng.randint(1, 7), rng.choice([0.2, 0.5, 0.8])) for _ in range(24)]
+    graphs.append(Graph(0))
+    for n in range(1, 8):
+        graphs += [Graph(n), complete(n)]
+    graphs += [cycle(n) for n in range(3, 8)]
+    graphs.append(complete_bipartite(3, 3))
+    for g in graphs:
+        cols, placements = _canonical_cols(g.adj, g.n)
+        best, reaching = brute_canonical_cols(g)
+        assert cols == best, g
+        assert len(placements) == len(set(placements)), g
+        assert set(placements) == reaching, g
 
 
 def test_canonical_order_cap():
@@ -64,9 +112,28 @@ def test_all_graph_catalog_counts(n, count):
 
 def test_catalog_order_range():
     with pytest.raises(ValueError, match="catalog order"):
-        enumerate_connected_graphs(8)
+        enumerate_connected_graphs(9)
     with pytest.raises(ValueError, match="catalog order"):
         enumerate_connected_graphs(0)
+
+
+@pytest.mark.parametrize("n", sorted(CATALOG_DIGESTS))
+def test_catalogs_are_byte_identical_to_recorded(n):
+    def digest(entries):
+        return hashlib.sha256("".join(g6 + "\n" for g6 in sorted(e.graph6 for e in entries)).encode()).hexdigest()
+
+    assert (digest(enumerate_connected_graphs(n)), digest(enumerate_graphs(n))) == CATALOG_DIGESTS[n]
+
+
+def test_order_8_random_graphs_canonicalize_to_catalog_entries():
+    nx = pytest.importorskip("networkx")
+    entries = {e.graph6: e.graph for e in enumerate_graphs(8)}
+    rng = random.Random(8008)
+    for _ in range(200):
+        g = random_graph(rng, 8, rng.choice([0.15, 0.3, 0.5, 0.7, 0.85]))
+        g6 = canonical_graph6(g)
+        assert g6 in entries
+        assert nx.is_isomorphic(to_networkx(g), to_networkx(entries[g6]))
 
 
 def test_catalog_entries_are_canonical_sorted_unique():
@@ -109,18 +176,13 @@ def test_catalog_cross_checked_against_networkx_atlas():
 
     atlas = [g for g in graph_atlas_g() if 1 <= g.number_of_nodes() <= 7]
     by_order = {n: [g for g in atlas if g.number_of_nodes() == n] for n in range(1, 8)}
-    for n, count in ALL_COUNTS.items():
-        assert len(by_order[n]) == count
-    for n, count in CONNECTED_COUNTS.items():
-        assert sum(nx.is_connected(g) for g in by_order[n]) == count
+    for n in by_order:  # the atlas stops at order 7
+        assert len(by_order[n]) == ALL_COUNTS[n]
+        assert sum(nx.is_connected(g) for g in by_order[n]) == CONNECTED_COUNTS[n]
 
     # one-to-one coverage at order 6: every atlas class matches exactly one entry
     def assert_one_to_one(atlas_graphs, entries):
-        mine = []
-        for e in entries:
-            h = nx.empty_graph(e.order)
-            h.add_edges_from(e.graph.edges())
-            mine.append(h)
+        mine = [to_networkx(e.graph) for e in entries]
         matched = set()
         for g in atlas_graphs:
             hits = [

@@ -147,7 +147,7 @@ def test_generate_counts_and_determinism(capsys):
 
 
 def test_generate_rejects_bad_order(capsys):
-    code, _, err = run_cli(capsys, "generate", "--order", "8")
+    code, _, err = run_cli(capsys, "generate", "--order", "9")
     assert code == 2
 
 
