@@ -15,9 +15,7 @@ from .graphs import (
     components,
     corona,
     cycle,
-    disjoint_union,
     encode_graph6,
-    format_edge_list,
     induced_subgraph,
     is_complete,
     is_connected,
@@ -29,7 +27,6 @@ from .graphs import (
     parse_graph6,
     path,
     pendant_vertices,
-    permute,
     petersen,
     star,
 )
@@ -48,7 +45,6 @@ from .invariants import (
     compute_report,
     domination_number,
     gamma_it,
-    gamma_it_sets,
     gamma_t,
     gamma_tt,
     matching_number,

@@ -10,16 +10,20 @@ prefix whose columns are least so far; a prefix finds its least next
 column with bitmask operations, by narrowing its set of free vertices to
 the non-neighbours of each placed vertex in turn.
 
-Only connected graphs are generated, by vertex extension; the catalog of
-all graphs adds the disconnected complements of the connected entries.
+The catalogs are generated orderly (Read, "Every one a winner", 1978).
+Deleting the last label of a canonical graph leaves a canonical graph, so
+each canonical graph on n vertices is one new column added to exactly one
+entry of the previous catalog: every such child is built, and kept iff it
+is canonical.  The connected catalog is a filter of the full one.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
+from typing import Iterator
 
-from .graphs import Graph, complement, encode_graph6, is_connected
+from .graphs import Graph, encode_graph6, is_connected
 
 CANONICAL_MAX_ORDER = 9
 CATALOG_MAX_ORDER = 8
@@ -34,8 +38,11 @@ class CatalogEntry:
     order: int
 
 
-def _canonical_cols(adj: tuple[int, ...], n: int) -> tuple[tuple[int, ...], list[tuple[int, ...]]]:
-    """Minimum column encoding over all relabelings, with all attaining placements.
+def _canonical_cols(
+    adj: tuple[int, ...], n: int, bound: tuple[int, ...] | None = None
+) -> tuple[int, ...] | None:
+    """Minimum column encoding over all relabelings; given ``bound``, None if
+    some relabeling's encoding is below ``bound``, else ``bound``.
 
     Works level by level: a placement prefix fixes columns 1..j of the
     encoding, and the lexicographic minimum is obtained by keeping, at each
@@ -50,19 +57,20 @@ def _canonical_cols(adj: tuple[int, ...], n: int) -> tuple[tuple[int, ...], list
     vertex: the least column over the old placed vertices is unchanged and
     attained by ``reach - v``, so one narrowing step by ``v`` finishes it.
     Only when ``v`` was the sole vertex of ``reach`` is the walk redone.
-    The returned placements map new label -> original vertex; for an
-    already-canonical graph they are precisely its automorphisms.
+    Given ``bound``, each level keeps the prefixes attaining the bound's
+    column, and the walk returns at the first column below it.
     """
     if n <= 1:
-        return (), [tuple(range(n))]
+        return ()
     full = (1 << n) - 1
     non = [full ^ row for row in adj]
     # (placed, free, reach): reach holds the free vertices attaining the least next column
     frontier: list[tuple[tuple[int, ...], int, int]] = [((), full, full)]
     cols: list[int] = []
     prev = 0  # the least column of the last level, shared by every prefix kept
-    for _ in range(1, n):
-        best_col = full  # above every column: a column has fewer than n bits
+    for level in range(n - 1):
+        # full is above every column: a column has fewer than n bits
+        best_col = full if bound is None else bound[level]
         best: list[tuple[tuple[int, ...], int, int]] = []
         for placed, free, reach in frontier:
             m = reach
@@ -90,6 +98,8 @@ def _canonical_cols(adj: tuple[int, ...], n: int) -> tuple[tuple[int, ...], list
                 else:
                     col = (col << 1) | 1
                 if col < best_col:
+                    if bound is not None:
+                        return None
                     best_col = col
                     best = [(placed + (v,), free ^ bit, rest)]
                 elif col == best_col:
@@ -97,8 +107,7 @@ def _canonical_cols(adj: tuple[int, ...], n: int) -> tuple[tuple[int, ...], list
         cols.append(best_col)
         frontier = best
         prev = best_col
-    # each prefix kept at the last level has one free vertex left: it takes label n - 1
-    return tuple(cols), [placed + (free.bit_length() - 1,) for placed, free, _ in frontier]
+    return tuple(cols)
 
 
 def _graph_from_cols(cols: tuple[int, ...], n: int) -> Graph:
@@ -117,29 +126,7 @@ def canonical_form(g: Graph) -> Graph:
         raise ValueError(
             f"canonical form is an exhaustive search and limited to n <= {CANONICAL_MAX_ORDER}"
         )
-    cols, _ = _canonical_cols(g.adj, g.n)
-    return _graph_from_cols(cols, g.n)
-
-
-def _orbit_reps(n: int, autos: list[tuple[int, ...]]) -> list[int]:
-    """One representative per orbit of nonempty vertex subsets under ``autos``."""
-    if len(autos) == 1:
-        return list(range(1, 1 << n))
-    reps = []
-    seen = set()
-    for mask in range(1, 1 << n):
-        if mask in seen:
-            continue
-        reps.append(mask)
-        for p in autos:
-            img = 0
-            m = mask
-            while m:  # iter_bits inlined: this runs once per mask per automorphism
-                low = m & -m
-                img |= 1 << p[low.bit_length() - 1]
-                m ^= low
-            seen.add(img)
-    return reps
+    return _graph_from_cols(_canonical_cols(g.adj, g.n), g.n)
 
 
 def _entry_from_cols(cols: tuple[int, ...], n: int) -> CatalogEntry:
@@ -147,51 +134,43 @@ def _entry_from_cols(cols: tuple[int, ...], n: int) -> CatalogEntry:
     return CatalogEntry(graph=graph, graph6=encode_graph6(graph), order=n)
 
 
-@lru_cache(maxsize=None)
-def enumerate_connected_graphs(n: int) -> tuple[CatalogEntry, ...]:
-    """All connected graphs on n vertices, one canonical entry per class.
+def _column(row: int, j: int) -> int:
+    """Column j of the encoding: label j's edges to labels 0..j-1, label 0 first."""
+    return sum(((row >> i) & 1) << (j - 1 - i) for i in range(j))
 
-    Each connected graph on n >= 2 vertices arises from a connected graph
-    on n-1 vertices by adding a vertex with a nonempty neighborhood, so the
-    previous catalog level is extended and deduplicated by canonical
-    encoding.  Neighborhoods equivalent under a parent automorphism give
-    isomorphic children and are reduced to orbit representatives first.
-    """
-    if not 1 <= n <= CATALOG_MAX_ORDER:
-        raise ValueError(f"catalog order must be in [1, {CATALOG_MAX_ORDER}], got {n}")
-    if n == 1:
-        return (_entry_from_cols((), 1),)
-    out: dict[tuple[int, ...], CatalogEntry] = {}
-    for parent in enumerate_connected_graphs(n - 1):
-        padj = parent.graph.adj
-        _, autos = _canonical_cols(padj, n - 1)
-        for mask in _orbit_reps(n - 1, autos):
-            child = tuple(
-                row | (((mask >> v) & 1) << (n - 1)) for v, row in enumerate(padj)
-            ) + (mask,)
-            cols, _ = _canonical_cols(child, n)
-            if cols not in out:
-                out[cols] = _entry_from_cols(cols, n)
-    return tuple(out[key] for key in sorted(out))
+
+def _children(padj: tuple[int, ...], m: int) -> Iterator[tuple[tuple[int, ...], tuple[int, ...]]]:
+    """(columns, adjacency) of each extension of canonical ``padj`` that may be canonical."""
+    pcols = tuple(_column(padj[j], j) for j in range(1, m))
+    last = pcols[-1] if pcols else 0
+    for row in range(1 << m):
+        col = _column(row, m)
+        # swapping labels m - 1 and m would put col >> 1 in column m - 1: a smaller encoding
+        if col >> 1 >= last:
+            child = tuple(r | ((row >> v) & 1) << m for v, r in enumerate(padj)) + (row,)
+            yield pcols + (col,), child
 
 
 @lru_cache(maxsize=None)
 def enumerate_graphs(n: int) -> tuple[CatalogEntry, ...]:
-    """All graphs on n vertices (connected or not), one canonical entry each.
-
-    A graph or its complement is connected, and complementation is a
-    bijection on isomorphism classes, so every disconnected class is the
-    complement of exactly one connected class: the connected catalog plus
-    the canonical complements that are disconnected is the whole catalog.
-    """
-    connected = enumerate_connected_graphs(n)
-    entries = list(connected)
-    for entry in connected:
-        co = complement(entry.graph)
-        if not is_connected(co):
-            cols, _ = _canonical_cols(co.adj, n)
-            entries.append(_entry_from_cols(cols, n))
+    """All graphs on n vertices (connected or not), one canonical entry each."""
+    if not 1 <= n <= CATALOG_MAX_ORDER:
+        raise ValueError(f"catalog order must be in [1, {CATALOG_MAX_ORDER}], got {n}")
+    if n == 1:
+        return (_entry_from_cols((), 1),)
+    entries = [
+        _entry_from_cols(cols, n)
+        for parent in enumerate_graphs(n - 1)
+        for cols, child in _children(parent.graph.adj, n - 1)
+        if _canonical_cols(child, n, cols) is not None
+    ]
     entries.sort(key=lambda e: e.graph6)
     if len({e.graph6 for e in entries}) != len(entries):
         raise RuntimeError(f"order-{n} catalog holds isomorphic duplicates")
     return tuple(entries)
+
+
+@lru_cache(maxsize=None)
+def enumerate_connected_graphs(n: int) -> tuple[CatalogEntry, ...]:
+    """The connected entries of ``enumerate_graphs(n)``, in the same order."""
+    return tuple(e for e in enumerate_graphs(n) if is_connected(e.graph))

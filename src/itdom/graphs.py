@@ -267,12 +267,6 @@ def parse_edge_list(text: str) -> Graph:
     return Graph(n, edges)
 
 
-def format_edge_list(g: Graph) -> str:
-    lines = [f"{g.n} {g.m}"]
-    lines.extend(f"{u} {v}" for u, v in g.edges())
-    return "\n".join(lines) + "\n"
-
-
 # ---------------------------------------------------------------------------
 # Constructions
 # ---------------------------------------------------------------------------
@@ -336,13 +330,6 @@ def petersen() -> Graph:
     return Graph(10, edges)
 
 
-def disjoint_union(a: Graph, b: Graph) -> Graph:
-    if a.n + b.n > MAX_ORDER:
-        raise ValueError("disjoint union exceeds the order limit")
-    adj = list(a.adj) + [row << a.n for row in b.adj]
-    return Graph.from_adjacency(adj)
-
-
 def induced_subgraph(g: Graph, mask: int) -> tuple[Graph, list[int]]:
     """Subgraph induced by ``mask``; also returns the original vertex ids."""
     verts = members(mask)
@@ -353,19 +340,6 @@ def induced_subgraph(g: Graph, mask: int) -> tuple[Graph, list[int]]:
         if (mask >> u) & 1 and (mask >> v) & 1
     ]
     return Graph(len(verts), edges), verts
-
-
-def permute(g: Graph, perm: Sequence[int]) -> Graph:
-    """Relabel: vertex v of ``g`` becomes ``perm[v]``."""
-    if sorted(perm) != list(range(g.n)):
-        raise ValueError("perm is not a permutation of the vertex range")
-    adj = [0] * g.n
-    for v in range(g.n):
-        row = 0
-        for u in iter_bits(g.adj[v]):
-            row |= 1 << perm[u]
-        adj[perm[v]] = row
-    return Graph.from_adjacency(adj)
 
 
 # ---------------------------------------------------------------------------

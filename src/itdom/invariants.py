@@ -551,12 +551,6 @@ def gamma_it(g: Graph) -> tuple[int, int]:
     return cache.gamma_it, next(cache.optima("gamma_it"))
 
 
-def gamma_it_sets(g: Graph) -> tuple[int, tuple[int, ...]]:
-    """The optimum value together with every optimal witness."""
-    cache = _evaluator(g)
-    return cache.gamma_it, tuple(cache.optima("gamma_it"))
-
-
 def gamma_t(g: Graph) -> int | None:
     """Minimum total dominating set size; None when an isolated vertex exists."""
     return None if g.n == 0 else _evaluator(g).gamma_t

@@ -4,10 +4,12 @@ from __future__ import annotations
 
 import random
 from itertools import combinations, permutations
+from typing import Sequence
 
 import networkx as nx
 
-from itdom import Graph, canonical_form, cycle, encode_graph6, is_connected, iter_bits
+from itdom import Graph, InvariantCache, canonical_form, cycle, encode_graph6, is_connected, iter_bits
+from itdom.graphs import MAX_ORDER
 
 
 def canonical_graph6(g: Graph) -> str:
@@ -86,13 +88,11 @@ def raw_connected_sweep(n: int) -> list[str]:
     return sorted(found)
 
 
-def brute_canonical_cols(g: Graph) -> tuple[tuple[int, ...], set[tuple[int, ...]]]:
+def brute_canonical_cols(g: Graph) -> tuple[int, ...]:
     """Definitional reference for ``catalog._canonical_cols``: the least
-    column encoding over every relabeling, and the set of placements (new
-    label -> original vertex) that reach it.  Column j holds the adjacency
-    of label j to labels 0..j-1, label 0 as the most significant bit."""
+    column encoding over every relabeling.  Column j holds the adjacency of
+    label j to labels 0..j-1, label 0 as the most significant bit."""
     best = None
-    reaching: set[tuple[int, ...]] = set()
     for perm in permutations(range(g.n)):
         cols = []
         for j in range(1, g.n):
@@ -103,10 +103,40 @@ def brute_canonical_cols(g: Graph) -> tuple[tuple[int, ...], set[tuple[int, ...]
             cols.append(col)
         key = tuple(cols)
         if best is None or key < best:
-            best, reaching = key, {perm}
-        elif key == best:
-            reaching.add(perm)
-    return best, reaching
+            best = key
+    return best
+
+
+def format_edge_list(g: Graph) -> str:
+    lines = [f"{g.n} {g.m}"]
+    lines.extend(f"{u} {v}" for u, v in g.edges())
+    return "\n".join(lines) + "\n"
+
+
+def disjoint_union(a: Graph, b: Graph) -> Graph:
+    if a.n + b.n > MAX_ORDER:
+        raise ValueError("disjoint union exceeds the order limit")
+    adj = list(a.adj) + [row << a.n for row in b.adj]
+    return Graph.from_adjacency(adj)
+
+
+def permute(g: Graph, perm: Sequence[int]) -> Graph:
+    """Relabel: vertex v of ``g`` becomes ``perm[v]``."""
+    if sorted(perm) != list(range(g.n)):
+        raise ValueError("perm is not a permutation of the vertex range")
+    adj = [0] * g.n
+    for v in range(g.n):
+        row = 0
+        for u in iter_bits(g.adj[v]):
+            row |= 1 << perm[u]
+        adj[perm[v]] = row
+    return Graph.from_adjacency(adj)
+
+
+def gamma_it_sets(g: Graph) -> tuple[int, tuple[int, ...]]:
+    """The gamma_it value together with every optimal witness, in increasing mask order."""
+    cache = InvariantCache(g)
+    return cache.gamma_it, tuple(cache.optima("gamma_it"))
 
 
 def is_c4(g: Graph) -> bool:

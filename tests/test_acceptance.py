@@ -24,7 +24,6 @@ from itdom import (
     enumerate_connected_graphs,
     figure1_graph,
     gamma_it,
-    gamma_it_sets,
     gamma_tt,
     is_corona,
     matching_number,
@@ -40,7 +39,7 @@ from itdom.cli import main
 from itdom.invariants import gamma_t
 from itdom.theorems import InvariantCache
 
-from helpers import is_c4, random_graph
+from helpers import gamma_it_sets, is_c4, random_graph
 
 CONNECTED_COUNTS = {1: 1, 2: 1, 3: 2, 4: 6, 5: 21, 6: 112, 7: 853}
 

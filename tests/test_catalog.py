@@ -13,17 +13,19 @@ from itdom import (
     cycle,
     enumerate_connected_graphs,
     enumerate_graphs,
+    is_connected,
     parse_graph6,
     path,
-    permute,
     star,
 )
 
-from itdom.catalog import _canonical_cols
+from itdom.catalog import _canonical_cols, _children
 
 from helpers import (
     brute_canonical_cols,
     canonical_graph6,
+    disjoint_union,
+    permute,
     random_graph,
     random_permutation,
     raw_connected_sweep,
@@ -35,7 +37,9 @@ ALL_COUNTS = {1: 1, 2: 2, 3: 4, 4: 11, 5: 34, 6: 156, 7: 1044, 8: 12346}  # OEIS
 
 # SHA-256 of the sorted graph6 lines (each ending in a newline) of
 # enumerate_connected_graphs(n) and enumerate_graphs(n), recorded from the
-# column-by-column labeling search that the bitmask narrowing replaced.
+# column-by-column labeling search that the bitmask narrowing replaced (n <= 7)
+# and from the dedup-by-vertex-extension generator that orderly generation
+# replaced (n = 8).
 CATALOG_DIGESTS = {
     1: ("ecf5de1a2ecc66a1876a832804c64f6b5125784e94c82285d9720621c613ab46",
         "ecf5de1a2ecc66a1876a832804c64f6b5125784e94c82285d9720621c613ab46"),
@@ -51,6 +55,8 @@ CATALOG_DIGESTS = {
         "6ba261a8381f12c8b4b59ae2c7715cee98a31b3f4c6b5a6bea5ef4eba006a0fc"),
     7: ("f39a11e21a91db326d834f8e3bf6d5ae85c0f04d6077d08cfbaeecbc572b0a93",
         "e3eee2a6b5beecaa47bee1b0d67a6a982c0e5e2c0067993d735036d3c9d6512f"),
+    8: ("370179f0d16fe7beee1c5b3baca8898cf6f0f9154058486f03031eec0611a145",
+        "e1aed63b07ff72557885ee1244044d6ad30ba1b182f74cc7bcb7a02da8d34867"),
 }
 
 
@@ -83,11 +89,28 @@ def test_canonical_cols_match_permutation_definition():
     graphs += [cycle(n) for n in range(3, 8)]
     graphs.append(complete_bipartite(3, 3))
     for g in graphs:
-        cols, placements = _canonical_cols(g.adj, g.n)
-        best, reaching = brute_canonical_cols(g)
-        assert cols == best, g
-        assert len(placements) == len(set(placements)), g
-        assert set(placements) == reaching, g
+        assert _canonical_cols(g.adj, g.n) == brute_canonical_cols(g), g
+
+
+def test_canonicity_test_matches_full_labeling():
+    # seeded canonical parents of orders 6-8, disconnected ones among them
+    rng = random.Random(9090)
+    parents = [canonical_form(random_graph(rng, m, p)) for m in (6, 7, 8) for p in (0.25, 0.5, 0.75)]
+    parents += [canonical_form(disjoint_union(cycle(4), path(k))) for k in (2, 3, 4)]
+    assert sum(not is_connected(g) for g in parents) >= 4
+    outcomes = set()
+    for parent in parents:
+        m = parent.n
+        candidates = dict(_children(parent.adj, m))
+        for row in range(1 << m):
+            child = tuple(r | ((row >> v) & 1) << m for v, r in enumerate(parent.adj)) + (row,)
+            own = tuple(sum(((child[j] >> i) & 1) << (j - 1 - i) for i in range(j)) for j in range(1, m + 1))
+            canonical = _canonical_cols(child, m + 1) == own
+            assert (_canonical_cols(child, m + 1, own) is not None) == canonical, (parent, row)
+            outcomes.add((canonical, own in candidates))
+            if canonical:  # the swap pre-test kept it
+                assert candidates[own] == child, (parent, row)
+    assert outcomes == {(True, True), (False, True), (False, False)}
 
 
 def test_canonical_order_cap():

@@ -16,11 +16,9 @@ from itdom import (
     components,
     corona,
     cycle,
-    disjoint_union,
     domination_number,
     encode_graph6,
     enumerate_connected_graphs,
-    format_edge_list,
     canonical_form,
     is_connected,
     mask_of,
@@ -32,7 +30,7 @@ from itdom import (
     star,
 )
 
-from helpers import girth, random_graph
+from helpers import disjoint_union, format_edge_list, girth, random_graph
 
 
 def test_graph_validates_input():

@@ -14,15 +14,13 @@ from hypothesis import given, settings, strategies as st
 from itdom import (
     Graph,
     InvariantCache,
-    disjoint_union,
     enumerate_graphs,
     iter_bits,
     mask_of,
     omega,
-    permute,
 )
 
-from helpers import random_graph
+from helpers import disjoint_union, permute, random_graph
 
 KEYS = ("gamma", "tau_i", "gamma_it", "gamma_t", "gamma_tt")
 

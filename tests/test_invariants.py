@@ -19,7 +19,6 @@ from itdom import (
     domination_number,
     enumerate_connected_graphs,
     gamma_it,
-    gamma_it_sets,
     gamma_t,
     gamma_tt,
     mask_of,
@@ -35,7 +34,7 @@ from itdom import (
 )
 from itdom import invariants
 
-from helpers import dominates, ksubsets, least_mask, random_bipartite, random_graph
+from helpers import dominates, gamma_it_sets, ksubsets, least_mask, random_bipartite, random_graph
 
 
 def test_omega_complete():

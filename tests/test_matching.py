@@ -13,15 +13,13 @@ from itdom import (
     complete_bipartite,
     corona,
     cycle,
-    disjoint_union,
     enumerate_graphs,
     matching_number,
     maximum_matching,
-    permute,
     petersen,
 )
 
-from helpers import lex_first_matching, random_graph
+from helpers import disjoint_union, lex_first_matching, permute, random_graph
 
 BLOSSOM_GRAPHS = [
     petersen(),
