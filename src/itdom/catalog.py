@@ -14,11 +14,13 @@ The catalogs are generated orderly (Read, "Every one a winner", 1978).
 Deleting the last label of a canonical graph leaves a canonical graph, so
 each canonical graph on n vertices is one new column added to exactly one
 entry of the previous catalog: every such child is built, and kept iff it
-is canonical.  The connected catalog is a filter of the full one.
+is canonical.  The connected catalog is a filter of the full one.  Each
+catalog is checked against its pinned SHA-256 before it is returned.
 """
 
 from __future__ import annotations
 
+import hashlib
 from dataclasses import dataclass
 from functools import lru_cache
 from typing import Iterator
@@ -26,7 +28,20 @@ from typing import Iterator
 from .graphs import Graph, encode_graph6, is_connected
 
 CANONICAL_MAX_ORDER = 9
-CATALOG_MAX_ORDER = 8
+
+# SHA-256 of the order-n catalog of all graphs as ``generate --order n --all``
+# prints it: the sorted graph6 lines, each ending in a newline.
+CATALOG_SHA256 = {
+    1: "ecf5de1a2ecc66a1876a832804c64f6b5125784e94c82285d9720621c613ab46",
+    2: "b7cd2a004ade86133158ffa94292f1d79a1fa154874706bf33b9e841cd3fa4cb",
+    3: "1d237c0da1c599bbd8f4cffdf1fd13171099276e9ca335a1e0c819e4be9b2bea",
+    4: "4779a12d9a07b2a2e13924257ea8b573ba0bd3af65d263532115d2ee564e7762",
+    5: "20785da1cf32ff06b5c7830950a3525a00c0ffc56e24213a2047c413effdf161",
+    6: "6ba261a8381f12c8b4b59ae2c7715cee98a31b3f4c6b5a6bea5ef4eba006a0fc",
+    7: "e3eee2a6b5beecaa47bee1b0d67a6a982c0e5e2c0067993d735036d3c9d6512f",
+    8: "e1aed63b07ff72557885ee1244044d6ad30ba1b182f74cc7bcb7a02da8d34867",
+}
+CATALOG_MAX_ORDER = max(CATALOG_SHA256)
 
 
 @dataclass(frozen=True)
@@ -153,20 +168,23 @@ def _children(padj: tuple[int, ...], m: int) -> Iterator[tuple[tuple[int, ...], 
 
 @lru_cache(maxsize=None)
 def enumerate_graphs(n: int) -> tuple[CatalogEntry, ...]:
-    """All graphs on n vertices (connected or not), one canonical entry each."""
+    """All graphs on n vertices (connected or not), one canonical entry each,
+    sorted by graph6; RuntimeError unless they hash to ``CATALOG_SHA256[n]``."""
     if not 1 <= n <= CATALOG_MAX_ORDER:
         raise ValueError(f"catalog order must be in [1, {CATALOG_MAX_ORDER}], got {n}")
     if n == 1:
-        return (_entry_from_cols((), 1),)
-    entries = [
-        _entry_from_cols(cols, n)
-        for parent in enumerate_graphs(n - 1)
-        for cols, child in _children(parent.graph.adj, n - 1)
-        if _canonical_cols(child, n, cols) is not None
-    ]
+        entries = [_entry_from_cols((), 1)]
+    else:
+        entries = [
+            _entry_from_cols(cols, n)
+            for parent in enumerate_graphs(n - 1)
+            for cols, child in _children(parent.graph.adj, n - 1)
+            if _canonical_cols(child, n, cols) is not None
+        ]
     entries.sort(key=lambda e: e.graph6)
-    if len({e.graph6 for e in entries}) != len(entries):
-        raise RuntimeError(f"order-{n} catalog holds isomorphic duplicates")
+    body = "".join(e.graph6 + "\n" for e in entries).encode()
+    if hashlib.sha256(body).hexdigest() != CATALOG_SHA256[n]:
+        raise RuntimeError(f"order-{n} catalog does not match its pinned SHA-256")
     return tuple(entries)
 
 

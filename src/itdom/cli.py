@@ -11,6 +11,7 @@ incomplete report on stdout and exits non-zero.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import csv
 import hashlib
 import io
@@ -24,7 +25,7 @@ from functools import partial
 from pathlib import Path
 
 from . import __version__
-from .catalog import CATALOG_MAX_ORDER, CatalogEntry, enumerate_graphs
+from .catalog import CATALOG_MAX_ORDER, CATALOG_SHA256, CatalogEntry, enumerate_graphs
 from .graphs import (
     Graph,
     complement,
@@ -45,8 +46,6 @@ from .theorems import (
     figure1_graph,
     search_extremal,
 )
-
-CATALOG_CACHE_VERSION = 1
 
 EXIT_OK = 0
 EXIT_VERIFY_FAILED = 1
@@ -117,48 +116,50 @@ def _cache_dir() -> Path:
     return base / "itdom"
 
 
-def _catalog_cache_path(n: int, body: bytes) -> Path:
-    digest = hashlib.sha256(body).hexdigest()
-    return _cache_dir() / f"catalog-v{CATALOG_CACHE_VERSION}-n{n}-{digest}.g6"
-
-
-def _all_graph_lines(n: int, use_cache: bool) -> list[str]:
+def _all_graph_lines(n: int) -> list[str]:
     """The order-n catalog of all graphs, kept on disk as one file per order.
 
-    The file is named by the SHA-256 digest of its body, so a truncated,
-    stale or corrupt file is one whose body does not match its name, and
-    the catalog is regenerated in its place.
+    The file is named by the catalog's pinned SHA-256 and read only when its
+    bytes have that digest, so a missing, truncated or foreign file is a
+    miss, and the catalog is regenerated in its place.  A cache that cannot
+    be read is a miss too; one that cannot be written is noted on stderr.
     """
-    if use_cache:
-        for path in sorted(_cache_dir().glob(f"catalog-v{CATALOG_CACHE_VERSION}-n{n}-*.g6")):
-            body = path.read_bytes()
-            if path == _catalog_cache_path(n, body):
-                return body.decode().splitlines()
+    pin = CATALOG_SHA256[n]
+    path = _cache_dir() / f"catalog-v1-n{n}-{pin}.g6"
+    try:
+        body = path.read_bytes()
+    except OSError:
+        body = b""
+    if hashlib.sha256(body).hexdigest() == pin:
+        return body.decode().splitlines()
     lines = [entry.graph6 for entry in enumerate_graphs(n)]
-    body = ("\n".join(lines) + "\n").encode()
-    path = _catalog_cache_path(n, body)
-    path.parent.mkdir(parents=True, exist_ok=True)
     tmp = path.with_suffix(f".{os.getpid()}.tmp")  # no clash between processes
-    tmp.write_bytes(body)
-    tmp.replace(path)
+    try:
+        path.parent.mkdir(parents=True, exist_ok=True)
+        tmp.write_bytes("".join(ln + "\n" for ln in lines).encode())
+        tmp.replace(path)
+    except OSError as exc:
+        with contextlib.suppress(OSError):
+            tmp.unlink()
+        print(f"note: catalog cache not written: {exc}", file=sys.stderr)
     return lines
 
 
-def _connected_entries(n: int, use_cache: bool) -> list[CatalogEntry]:
+def _connected_entries(n: int) -> list[CatalogEntry]:
     """The order-n connected catalog, sorted: the connected lines of the one
     cached file of all graphs, each parsed once."""
-    parsed = ((parse_graph6(ln), ln) for ln in _all_graph_lines(n, use_cache))
+    parsed = ((parse_graph6(ln), ln) for ln in _all_graph_lines(n))
     return [CatalogEntry(g, ln, n) for g, ln in parsed if is_connected(g)]
 
 
-def catalog_lines(n: int, connected: bool = True, use_cache: bool = True) -> list[str]:
+def catalog_lines(n: int, connected: bool = True) -> list[str]:
     """Canonical graph6 lines for the order-n catalog, sorted.
 
     Both catalogs come from the one cached file of all graphs.
     """
     if connected:
-        return [entry.graph6 for entry in _connected_entries(n, use_cache)]
-    return _all_graph_lines(n, use_cache)
+        return [entry.graph6 for entry in _connected_entries(n)]
+    return _all_graph_lines(n)
 
 
 # ---------------------------------------------------------------------------
@@ -342,9 +343,7 @@ def _cmd_verify(args: argparse.Namespace, command: str) -> int:
     if args.corpus is not None:
         lines = _corpus_lines(args.corpus)
     else:
-        lines = catalog_lines(
-            _catalog_order(args.order), connected=True, use_cache=not args.no_cache
-        )
+        lines = catalog_lines(_catalog_order(args.order), connected=True)
     results = _map_tasks(partial(_verify_task, ids=ids, fmt=args.format), lines, args.jobs)
     header = ["graph6", "theorem", "status"]
     summary = _write_report(command, args.format, header, results, _status_summary())
@@ -352,9 +351,7 @@ def _cmd_verify(args: argparse.Namespace, command: str) -> int:
 
 
 def _cmd_generate(args: argparse.Namespace, command: str) -> int:
-    lines = catalog_lines(
-        _catalog_order(args.order), connected=not args.all, use_cache=not args.no_cache
-    )
+    lines = catalog_lines(_catalog_order(args.order), connected=not args.all)
     sys.stdout.write("\n".join(lines) + "\n")
     return EXIT_OK
 
@@ -385,7 +382,7 @@ def _cmd_counterexamples(args: argparse.Namespace, command: str) -> int:
 
 
 def _cmd_search(args: argparse.Namespace, command: str) -> int:
-    catalog = _connected_entries(_catalog_order(args.order), use_cache=not args.no_cache)
+    catalog = _connected_entries(_catalog_order(args.order))
     entries = [
         {"graph6": res.entry.graph6, "n": res.entry.order, "values": res.values}
         for res in search_extremal(args.mode, catalog)
@@ -413,7 +410,6 @@ def _worker_count(text: str) -> int:
 def _add_common(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--format", choices=("json", "csv"), default="json")
     parser.add_argument("--jobs", type=_worker_count, default=os.cpu_count() or 1, metavar="K")
-    parser.add_argument("--no-cache", action="store_true")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -458,20 +454,15 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _echo_command(argv: list[str]) -> str:
-    """Invocation echo without execution-only flags, so reports do not
-    depend on worker count or cache strategy."""
+    """Invocation echo without ``--jobs``, so reports do not depend on
+    the worker count."""
     parts = []
-    skip = False
-    for arg in argv:
-        if skip:
-            skip = False
-            continue
+    args = iter(argv)
+    for arg in args:
         if arg == "--jobs":
-            skip = True
-            continue
-        if arg.startswith("--jobs=") or arg == "--no-cache":
-            continue
-        parts.append(arg)
+            next(args, None)  # its value
+        elif not arg.startswith("--jobs="):
+            parts.append(arg)
     return "itdom " + " ".join(parts)
 
 

@@ -19,7 +19,7 @@ from itdom import (
     star,
 )
 
-from itdom.catalog import _canonical_cols, _children
+from itdom.catalog import CATALOG_MAX_ORDER, CATALOG_SHA256, _canonical_cols, _children
 
 from helpers import (
     brute_canonical_cols,
@@ -146,6 +146,12 @@ def test_catalogs_are_byte_identical_to_recorded(n):
         return hashlib.sha256("".join(g6 + "\n" for g6 in sorted(e.graph6 for e in entries)).encode()).hexdigest()
 
     assert (digest(enumerate_connected_graphs(n)), digest(enumerate_graphs(n))) == CATALOG_DIGESTS[n]
+
+
+def test_package_pins_are_the_recorded_digests():
+    # The package's pins and this file's record are kept independently.
+    assert CATALOG_MAX_ORDER == max(CATALOG_SHA256) == max(CATALOG_DIGESTS)
+    assert CATALOG_SHA256 == {n: digests[1] for n, digests in CATALOG_DIGESTS.items()}
 
 
 def test_order_8_random_graphs_canonicalize_to_catalog_entries():

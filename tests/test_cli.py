@@ -1,12 +1,14 @@
 """End-to-end CLI behavior: exit codes, report schema, determinism, workers."""
 
 import contextlib
+import hashlib
 import importlib.util
 import io
 import json
 import os
 import subprocess
 import sys
+import textwrap
 import tracemalloc
 from pathlib import Path
 
@@ -14,6 +16,7 @@ import pytest
 
 from itdom import complement, encode_graph6, petersen
 from itdom import cli
+from itdom.catalog import CATALOG_SHA256
 from itdom.cli import main
 from itdom.invariants import SolverLimitError
 from itdom.theorems import CHECK_MAX_ORDER, THEOREMS, Theorem
@@ -304,10 +307,10 @@ def test_json_report_is_one_sorted_document(capsys, tmp_path, argv):
     assert lines(out) == lines(canonical)
 
 
-@pytest.mark.parametrize("flag", [("--job", "1"), ("--no-c",)])
+@pytest.mark.parametrize("flag", [("--job", "1"), ("--form", "json")])
 def test_abbreviated_flags_are_rejected(capsys, tmp_path, flag):
     # An abbreviation would reach the command echo, which leaves out --jobs
-    # and --no-cache only when they are spelled out.
+    # only when it is spelled out, and one report would read two ways.
     corpus = tmp_path / "one.g6"
     corpus.write_text("Cl\n")
     with pytest.raises(SystemExit) as exc:
@@ -445,14 +448,82 @@ def test_csv_output(capsys, tmp_path):
     assert out.splitlines()[0] == "graph6,theorem,status"
 
 
-def test_no_cache_flag_regenerates(capsys, tmp_path):
-    code, first, _ = run_cli(capsys, "generate", "--order", "5")
-    code, second, _ = run_cli(capsys, "generate", "--order", "5", "--no-cache")
-    assert lines(first) == lines(second)
-
-
 def _catalog_cache_files(tmp_path):
     return sorted((tmp_path / "cache" / "itdom").iterdir())
+
+
+def test_generate_from_an_empty_cache_matches_a_warm_run(capsys, monkeypatch, tmp_path):
+    code, cold, _ = run_cli(capsys, "generate", "--order", "5", "--all")
+    assert code == 0 and len(cold.splitlines()) == 34
+    # The file name has kept its form, so caches written earlier are still hits.
+    (cached,) = _catalog_cache_files(tmp_path)
+    assert cached.name == f"catalog-v1-n5-{hashlib.sha256(cold.encode()).hexdigest()}.g6"
+    monkeypatch.setattr(cli, "enumerate_graphs", None)  # a warm run generates nothing
+    code, warm, _ = run_cli(capsys, "generate", "--order", "5", "--all")
+    assert code == 0
+    assert lines(warm) == lines(cold)
+
+
+def test_no_cache_flag_is_rejected(capsys):
+    # The pinned cache file can only hold the true catalog, so skipping it
+    # would change nothing but the time; the flag is gone.
+    with pytest.raises(SystemExit) as exc:
+        main(["generate", "--order", "5", "--no-cache"])
+    assert exc.value.code == 2
+    assert capsys.readouterr().out == ""
+
+
+def test_catalog_of_another_order_is_not_read(capsys, tmp_path):
+    # A valid order-5 catalog under an order-6 name: its bytes match its own
+    # digest but not the order-6 pin.
+    run_cli(capsys, "generate", "--order", "5", "--all")
+    (five,) = _catalog_cache_files(tmp_path)
+    pinned = five.with_name(f"catalog-v1-n6-{CATALOG_SHA256[6]}.g6")
+    for name in (five.name.replace("-n5-", "-n6-"), pinned.name):
+        five.with_name(name).write_bytes(five.read_bytes())
+        code, out, _ = run_cli(capsys, "generate", "--order", "6", "--all")
+        assert code == 0
+        assert len(out.splitlines()) == 156
+        assert hashlib.sha256(out.encode()).hexdigest() == CATALOG_SHA256[6]
+    assert hashlib.sha256(pinned.read_bytes()).hexdigest() == CATALOG_SHA256[6]
+
+
+def test_catalog_off_its_pin_is_an_internal_error(tmp_path):
+    # A fresh process, so no catalog is memoized before the pin is patched.
+    code = textwrap.dedent("""
+        import sys
+        from itdom import catalog, cli
+        catalog.CATALOG_SHA256[5] = "0" * 64
+        try:
+            catalog.enumerate_graphs(5)
+        except RuntimeError as exc:
+            print("raised:", exc, file=sys.stderr)
+        sys.exit(cli.main(["generate", "--order", "5", "--all"]))
+    """)
+    env = {**os.environ, "PYTHONPATH": str(ROOT / "src"), "XDG_CACHE_HOME": str(tmp_path / "cache")}
+    run = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env)
+    assert run.returncode == 4
+    assert run.stdout == ""
+    assert "raised: order-5 catalog does not match its pinned SHA-256" in run.stderr
+    assert "RuntimeError" in run.stderr
+    assert not list(tmp_path.rglob("*.g6")) and not list(tmp_path.rglob("*.tmp"))
+
+
+@pytest.mark.parametrize("broken", ["cache home is a file", "catalog path is a directory"])
+@pytest.mark.parametrize("argv", [("generate", "--order", "3"), ("verify", "--order", "3", "--jobs", "1")])
+def test_unusable_cache_is_passed_over(capsys, monkeypatch, tmp_path, broken, argv):
+    want = run_cli(capsys, *argv)[:2]
+    home = tmp_path / "broken"
+    if broken == "cache home is a file":
+        home.write_text("")
+    else:
+        (home / "itdom" / f"catalog-v1-n3-{CATALOG_SHA256[3]}.g6").mkdir(parents=True)
+    monkeypatch.setenv("XDG_CACHE_HOME", str(home))
+    code, out, err = run_cli(capsys, *argv)
+    assert (code, lines(out)) == (want[0], lines(want[1]))
+    notes = [ln for ln in err.splitlines() if ln.startswith("note:")]
+    assert len(notes) == 1 and notes[0].startswith("note: catalog cache not written")
+    assert not list(home.parent.rglob("*.tmp"))
 
 
 def test_truncated_catalog_cache_is_regenerated(capsys, tmp_path):
@@ -487,12 +558,11 @@ def test_one_catalog_cache_file_per_order(capsys, tmp_path):
     assert len(_catalog_cache_files(tmp_path)) == 1
 
 
-def test_search_no_cache_matches_cached(capsys):
+def test_search_from_an_empty_cache_matches_a_warm_run(capsys):
     argv = ("search", "bipartite_half_gammait", "--order", "6", "--jobs", "1")
     _, cold, _ = run_cli(capsys, *argv)
     _, warm, _ = run_cli(capsys, *argv)
-    _, uncached, _ = run_cli(capsys, *argv, "--no-cache")
-    assert lines(cold) == lines(warm) == lines(uncached)
+    assert lines(cold) == lines(warm)
     assert json.loads(cold)["entries"]
 
 

@@ -2,25 +2,30 @@
 
 The definitional oracle stops at small orders, so at orders 17-32 the
 values are pinned by identities that hold for every graph (relabeling,
-disjoint unions) and by an unpruned reference search.  At small orders
+disjoint unions), by an unpruned reference search, and on complements of
+bipartite graphs by Konig's theorem through Lemma 2.1.  At small orders
 every optimum list is compared with a plain sweep over the k-subsets.
 """
 
 import random
 from itertools import combinations
 
-from hypothesis import given, settings, strategies as st
+import networkx as nx
+from hypothesis import assume, given, settings, strategies as st
 
 from itdom import (
     Graph,
     InvariantCache,
+    Status,
+    check,
+    complement,
     enumerate_graphs,
     iter_bits,
     mask_of,
     omega,
 )
 
-from helpers import disjoint_union, permute, random_graph
+from helpers import disjoint_union, permute, random_graph, to_networkx
 
 KEYS = ("gamma", "tau_i", "gamma_it", "gamma_t", "gamma_tt")
 
@@ -65,6 +70,18 @@ def graphs(draw, low: int, high: int) -> Graph:
     return random_graph(random.Random(draw(st.integers(0, 2**32))), n, p)
 
 
+@st.composite
+def bipartite_graphs(draw, low: int, high: int) -> tuple[Graph, set[int]]:
+    """A random bipartite graph with at least one edge, and one of its sides."""
+    n = draw(st.integers(low, high))
+    p = draw(st.sampled_from((0.08, 0.15, 0.25, 0.4, 0.6, 0.8)))
+    rng = random.Random(draw(st.integers(0, 2**32)))
+    top = set(rng.sample(range(n), rng.randint(1, n - 1)))
+    edges = [(u, v) for u in top for v in range(n) if v not in top and rng.random() < p]
+    assume(edges)
+    return Graph(n, edges), top
+
+
 PROPERTY = settings(max_examples=40, deadline=None, derandomize=True)
 
 
@@ -105,6 +122,18 @@ def test_values_match_an_unpruned_search(g):
             continue
         assert has_hitting_set(fams[key], k), key
         assert not has_hitting_set(fams[key], k - 1), key
+
+
+@PROPERTY
+@given(bipartite_graphs(17, 32))
+def test_lemma_2_1_on_complements_of_bipartite_graphs(drawn):
+    # The complement of G is bipartite H, so the complement cover number is
+    # H's vertex cover number, which is its matching number (Konig).
+    h, top = drawn
+    matching = len(nx.bipartite.hopcroft_karp_matching(to_networkx(h), top_nodes=top)) // 2
+    verdict = check("L2.1", complement(h))
+    assert verdict.status is Status.HOLDS
+    assert verdict.witness["tau_i"] == verdict.witness["complement_cover_number"] == matching
 
 
 def _brute_omega(g: Graph) -> list[int]:

@@ -24,6 +24,7 @@ from itdom import (
     gamma_it,
     is_corona,
     mask_of,
+    members,
     naive_oracle,
     omega,
     path,
@@ -176,20 +177,49 @@ def test_t32_both_implications_separately():
                 assert not cond or jump, entry.graph6
 
 
-def test_conjecture_1_has_order_6_counterexamples():
-    # The refutable-claim machinery surfaces these two order-6 graphs; both
-    # revalidate through the definitional oracle.
-    violators = []
-    for n in range(1, 8):
+def _violations(theorem_id):
+    """(catalog entry, witness) of every connected graph of order at most 8
+    that violates ``theorem_id``, in catalog order."""
+    found = []
+    for n in range(1, 9):
         for entry in enumerate_connected_graphs(n):
-            if check("CONJ1", entry.graph).status is Status.VIOLATED:
-                violators.append(entry.graph6)
-    assert violators == ["EJaW", "EJeg"]
-    for g6 in violators:
-        g = next(
-            e.graph for e in enumerate_connected_graphs(6) if e.graph6 == g6
-        )
-        assert naive_oracle(g)["gamma_it"] == 4 > 3
+            verdict = check(theorem_id, entry.graph)
+            if verdict.status is Status.VIOLATED:
+                found.append((entry, verdict.witness))
+    return found
+
+
+def test_conjecture_1_violations_through_order_8():
+    # The complete list: two at order 6, none at order 7 (ceil(n/2) is looser
+    # at odd n) and fourteen at order 8, each revalidated through the
+    # definitional oracle.
+    found = _violations("CONJ1")
+    assert [entry.graph6 for entry, _ in found] == [
+        "EJaW", "EJeg",
+        "GJ]CK[", "GJ]CK{", "GJ]C[k", "GJ]C[{", "GJ]C\\k", "GJ]C|[", "GJ]K\\k",
+        "GJ]KlK", "GJ]Kl[", "GJ]K|k", "GJ]\\\\k", "GJemvG", "GJemvK", "GJe}vK",
+    ]
+    for entry, witness in found:
+        assert naive_oracle(entry.graph)["gamma_it"] == witness["gamma_it"] > (entry.order + 1) // 2
+
+
+def test_original_theorem_3_1_violations_through_order_8():
+    # The complete list, each revalidated: the oracle's gamma_it jumps above
+    # gamma exactly where the side X fails the strict pendant condition, or
+    # the other way round.
+    found = _violations("T3.1-ORIG")
+    assert [entry.graph6 for entry, _ in found] == [
+        "A_", "D@s", "E?Fg", "F??Ng", "F?CeW", "G???Ns", "G??GfK", "G??HmG",
+    ]
+    for entry, witness in found:
+        g = entry.graph
+        oracle = naive_oracle(g)
+        assert (oracle["gamma"], oracle["gamma_it"]) == (witness["gamma"], witness["gamma_it"])
+        assert len(witness["X"]) == oracle["gamma"]
+        pendant = {v for v in range(g.n) if g.degree(v) == 1}
+        strict = all(len(pendant & set(members(g.adj[x]))) >= 2 for x in witness["X"])
+        assert strict == witness["strict_condition_holds"]
+        assert (oracle["gamma_it"] == oracle["gamma"] + 1) != strict
 
 
 def test_pendant_condition_star():
