@@ -63,6 +63,7 @@ from .theorems import (
     THEOREMS,
     TheoremVerdict,
     check,
+    check_many,
     figure1_graph,
     is_corona,
     pendant_condition,

@@ -22,6 +22,7 @@ import time
 import traceback
 from collections.abc import Iterable, Iterator
 from functools import partial
+from json.encoder import encode_basestring_ascii as _quote
 from pathlib import Path
 
 from . import __version__
@@ -42,7 +43,7 @@ from .theorems import (
     SEARCH_MODES,
     THEOREMS,
     Status,
-    check,
+    check_many,
     figure1_graph,
     search_extremal,
 )
@@ -52,6 +53,7 @@ EXIT_VERIFY_FAILED = 1
 EXIT_USAGE = 2
 EXIT_LIMIT = 3
 EXIT_INTERNAL = 4
+EXIT_BROKEN_PIPE = 141  # 128 + SIGPIPE, as a shell reports a reader that left
 
 
 class UsageError(Exception):
@@ -179,13 +181,63 @@ def _csv_text(rows: list[list]) -> str:
     return buf.getvalue()
 
 
+class _Encoded(str):
+    """JSON text already rendered at its place in a report."""
+
+
+def _encode(value, indent: str, out: list[str]) -> None:
+    """Append the JSON text of ``value`` to ``out``, as
+    ``json.dumps(value, indent=2, sort_keys=True)`` writes it with every
+    line after the first prefixed by ``indent``.
+
+    Only what reports hold is accepted: dicts with string keys, lists and
+    tuples, strings, ints, booleans and None.
+    """
+    if isinstance(value, str):
+        out.append(value if type(value) is _Encoded else _quote(value))
+    elif value is None:
+        out.append("null")
+    elif value is True:
+        out.append("true")
+    elif value is False:
+        out.append("false")
+    elif isinstance(value, int):
+        out.append(int.__repr__(value))
+    elif isinstance(value, dict):
+        if not value:
+            out.append("{}")
+            return
+        inner = indent + "  "
+        sep = "{\n" + inner
+        for key in sorted(value):
+            out += (sep, _quote(key), ": ")
+            _encode(value[key], inner, out)
+            sep = ",\n" + inner
+        out.append("\n" + indent + "}")
+    elif isinstance(value, (list, tuple)):
+        if not value:
+            out.append("[]")
+            return
+        inner = indent + "  "
+        sep = "[\n" + inner
+        for item in value:
+            out.append(sep)
+            _encode(item, inner, out)
+            sep = ",\n" + inner
+        out.append("\n" + indent + "]")
+    else:
+        raise TypeError(f"a report cannot hold a value of type {type(value).__name__}")
+
+
 def _render(entry: dict, rows: list[list], fmt: str) -> str:
     """One entry exactly as the report holds it: its CSV rows, or its JSON
     object two levels deep, every line four spaces further in than a
     document of its own."""
     if fmt == "csv":
         return _csv_text(rows)
-    return "    " + json.dumps(entry, indent=2, sort_keys=True).replace("\n", "\n    ")
+    out = ["    "]
+    _encode(entry, "    ", out)
+    return "".join(out)
 
 
 # The invariant values of a report, in the order of its CSV columns.
@@ -213,19 +265,46 @@ def _invariants_task(g6: str, fmt: str) -> tuple[str, Verdicts]:
 
 
 def _verdicts(g: Graph, cache: InvariantCache, ids: tuple[str, ...]) -> list[dict]:
-    verdicts = []
-    for tid in ids:
-        verdict = check(tid, g, cache)
-        verdicts.append(
-            {"theorem": tid, "status": verdict.status.value, "witness": verdict.witness}
-        )
-    return verdicts
+    return [
+        {"theorem": v.theorem_id, "status": v.status.value, "witness": v.witness}
+        for v in check_many(ids, g, cache)
+    ]
+
+
+# The rendered text of each verdict whose witness holds only scalars, keyed
+# by theorem, status, witness items and the types of the witness values, so
+# that True and 1 never share a text.  NotApplicable reasons and small
+# witnesses recur across graphs.  The table stops growing at its cap.
+_VERDICT_TEXTS: dict[tuple, _Encoded] = {}
+_VERDICT_TEXTS_MAX = 4096
+_SCALARS = frozenset((str, int, bool, type(None)))
+
+
+def _verdict_text(verdict: dict) -> _Encoded:
+    """A verdict's JSON text at its place in a report: in the verdicts of an
+    entry of the report's entries."""
+    witness = verdict["witness"]
+    types = tuple(map(type, witness.values()))
+    key = None
+    if _SCALARS.issuperset(types):
+        key = (verdict["theorem"], verdict["status"], tuple(witness.items()), types)
+        text = _VERDICT_TEXTS.get(key)
+        if text is not None:
+            return text
+    out: list[str] = []
+    _encode(verdict, " " * 8, out)
+    text = _Encoded("".join(out))
+    if key is not None and len(_VERDICT_TEXTS) < _VERDICT_TEXTS_MAX:
+        _VERDICT_TEXTS[key] = text
+    return text
 
 
 def _render_verdicts(entry: dict, key: list, fmt: str) -> tuple[str, Verdicts]:
     """An entry with verdicts, rendered with one CSV row per verdict (``key``
     then theorem and status), and its verdicts for the summary."""
     verdicts = [(v["theorem"], v["status"]) for v in entry["verdicts"]]
+    if fmt == "json":
+        entry = dict(entry, verdicts=[_verdict_text(v) for v in entry["verdicts"]])
     return _render(entry, [[*key, *v] for v in verdicts], fmt), verdicts
 
 
@@ -480,6 +559,15 @@ def main(argv: list[str] | None = None) -> int:
     except SolverLimitError as exc:
         print(f"limit: {exc}", file=sys.stderr)
         return EXIT_LIMIT
+    except BrokenPipeError:
+        # The reader of stdout is gone.  Point stdout's descriptor at the
+        # null device, so the final flush of what is still buffered does
+        # not fail again at exit.
+        with contextlib.suppress(OSError, ValueError):  # no descriptor
+            devnull = os.open(os.devnull, os.O_WRONLY)
+            os.dup2(devnull, sys.stdout.fileno())
+            os.close(devnull)
+        return EXIT_BROKEN_PIPE
     except Exception:  # a fault in the solvers or checks, not in the input
         traceback.print_exc()
         return EXIT_INTERNAL

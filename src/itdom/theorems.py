@@ -423,10 +423,16 @@ PROVEN_IDS = tuple(t.theorem_id for t in _REGISTRY if t.expected == "proven")
 REFUTABLE_IDS = tuple(t.theorem_id for t in _REGISTRY if t.expected == "refutable")
 
 
-def check(theorem_id: str, g: Graph, cache: InvariantCache | None = None) -> TheoremVerdict:
-    """Evaluate one registry entry on one graph."""
-    if theorem_id not in THEOREMS:
-        raise KeyError(f"unknown theorem id {theorem_id!r}")
+def check_many(
+    theorem_ids: Sequence[str], g: Graph, cache: InvariantCache | None = None
+) -> list[TheoremVerdict]:
+    """Evaluate registry entries on one graph, in the order of ``theorem_ids``.
+
+    The ids, the cache and the order limit are checked once for the graph.
+    """
+    for tid in theorem_ids:
+        if tid not in THEOREMS:
+            raise KeyError(f"unknown theorem id {tid!r}")
     if cache is not None and cache.g != g:
         raise ValueError("the invariant cache belongs to a different graph")
     if g.n > CHECK_MAX_ORDER:
@@ -434,13 +440,22 @@ def check(theorem_id: str, g: Graph, cache: InvariantCache | None = None) -> The
             f"theorem checks are limited to {CHECK_MAX_ORDER} vertices"
         )
     if g.n == 0:
-        return TheoremVerdict(theorem_id, Status.NOT_APPLICABLE, {"reason": "empty graph"})
+        return [
+            TheoremVerdict(tid, Status.NOT_APPLICABLE, {"reason": "empty graph"})
+            for tid in theorem_ids
+        ]
     cache = cache if cache is not None else InvariantCache(g)
-    ok, witness = THEOREMS[theorem_id].fn(g, cache)
-    if ok is None:
-        return TheoremVerdict(theorem_id, Status.NOT_APPLICABLE, witness)
-    status = Status.HOLDS if ok else Status.VIOLATED
-    return TheoremVerdict(theorem_id, status, witness)
+    verdicts = []
+    for tid in theorem_ids:
+        ok, witness = THEOREMS[tid].fn(g, cache)
+        status = Status.NOT_APPLICABLE if ok is None else Status.HOLDS if ok else Status.VIOLATED
+        verdicts.append(TheoremVerdict(tid, status, witness))
+    return verdicts
+
+
+def check(theorem_id: str, g: Graph, cache: InvariantCache | None = None) -> TheoremVerdict:
+    """Evaluate one registry entry on one graph."""
+    return check_many((theorem_id,), g, cache)[0]
 
 
 # ---------------------------------------------------------------------------

@@ -13,6 +13,7 @@ import tracemalloc
 from pathlib import Path
 
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from itdom import complement, encode_graph6, petersen
 from itdom import cli
@@ -573,3 +574,93 @@ def test_stdin_corpus(capsys, monkeypatch):
     code, out, _ = run_cli(capsys, "invariants", "--jobs", "1")
     assert code == 0
     assert json.loads(out)["entries"][0]["graph6"] == "Cl"
+
+
+# SHA-256 of the order-7 verify reports of version 0.1.0.  They hold
+# violations and list-valued witnesses; a whitespace drift in the rendered
+# entries changes these bytes while the parsed report stays equal.
+ORDER_7_VERIFY_SHA256 = {
+    "json": "845bbf5900f50a174944b630d4d66b2bfecd27e422416733f13fd53e69c4f91f",
+    "csv": "c521d4bb799be26a172efafa65a7d0d6ba960dc12445730377b311032b2c6f72",
+}
+
+
+@pytest.mark.parametrize("jobs", ["1", "2"])
+@pytest.mark.parametrize("fmt", ["json", "csv"])
+def test_order_7_verify_report_bytes(capsys, fmt, jobs):
+    fmt_flag = ("--format", "csv") if fmt == "csv" else ()
+    code, out, _ = run_cli(capsys, "verify", "--order", "7", *fmt_flag, "--jobs", jobs)
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == ORDER_7_VERIFY_SHA256[fmt]
+
+
+def _dumped(value):
+    """``value`` as json.dumps writes it, every line four spaces further in."""
+    return "    " + json.dumps(value, indent=2, sort_keys=True).replace("\n", "\n    ")
+
+
+_JSON_SCALARS = (
+    st.none()
+    | st.booleans()
+    | st.sampled_from([True, 1, False, 0, -1])
+    | st.integers()
+    | st.integers(min_value=-(2**200), max_value=2**200)
+    | st.text()
+    | st.text(alphabet='"\\/\x00\x08\x1f\x7f\n\tAé \U0001f600')
+)
+_JSON_VALUES = st.recursive(
+    _JSON_SCALARS,
+    lambda inner: st.lists(inner, max_size=4)
+    | st.tuples(inner, inner)
+    | st.dictionaries(st.text(max_size=3) | st.sampled_from(['"', "\\", "é", "\x01"]), inner, max_size=4),
+    max_leaves=24,
+)
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(_JSON_VALUES)
+@example({})
+@example([])
+@example({"a": {}, "b": [], "c": [{}, []]})
+@example([{"k": True}, {"k": 1}, {"k": False}, {"k": 0}])
+@example({"big": 2**64, "neg": -(2**70), "quote": '"\\\x00é\U0001f600'})
+def test_encoder_matches_json_dumps(value):
+    assert cli._render(value, [], "json") == _dumped(value)
+
+
+@pytest.mark.parametrize("value", [1.5, {1: "a"}, {"a": {2}}, [b"x"]])
+def test_encoder_rejects_what_reports_do_not_hold(value):
+    with pytest.raises(TypeError):
+        cli._render(value, [], "json")
+
+
+def test_reused_verdict_texts_keep_true_apart_from_1(monkeypatch):
+    monkeypatch.setattr(cli, "_VERDICT_TEXTS", {})
+
+    def entry(value):
+        verdict = {"theorem": "EQ1", "status": "Holds", "witness": {"w": value, "n": 2}}
+        return {"graph6": "A_", "n": 2, "verdicts": [verdict]}
+
+    values = [True, 1, False, 0, True, 1, False, 0]
+    texts = [cli._render_verdicts(entry(v), ["A_"], "json")[0] for v in values]
+    assert texts == [_dumped(entry(v)) for v in values]
+    assert len(cli._VERDICT_TEXTS) == 4
+    # Past its cap the table stops growing; texts stay right.
+    monkeypatch.setattr(cli, "_VERDICT_TEXTS_MAX", 4)
+    assert cli._render_verdicts(entry("x"), ["A_"], "json")[0] == _dumped(entry("x"))
+    assert len(cli._VERDICT_TEXTS) == 4
+
+
+class _ClosedPipe(io.TextIOBase):
+    """A stdout whose reader has gone."""
+
+    def write(self, text):
+        raise BrokenPipeError(32, "Broken pipe")
+
+
+@pytest.mark.parametrize("jobs", ["1", "2"])
+def test_broken_pipe_is_not_an_internal_error(capsys, monkeypatch, jobs):
+    monkeypatch.setattr(sys, "stdout", _ClosedPipe())
+    code = main(["verify", "--order", "5", "--jobs", jobs])
+    assert code == 141
+    assert capsys.readouterr().err == ""

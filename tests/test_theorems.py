@@ -14,6 +14,7 @@ from itdom import (
     bipartition,
     canonical_form,
     check,
+    check_many,
     complement,
     complete,
     corona,
@@ -58,6 +59,25 @@ def test_check_rejects_a_cache_of_another_graph():
     with pytest.raises(ValueError, match="different graph"):
         check("EQ1", cycle(4), InvariantCache(path(3)))
     assert check("EQ1", cycle(4), InvariantCache(cycle(4))).status is Status.HOLDS
+
+
+def test_check_many_is_check_per_id():
+    # One guard pass for all ids gives the verdicts of one check per id.
+    ids = tuple(THEOREMS)
+    for n in range(1, 6):
+        for entry in enumerate_connected_graphs(n):
+            cache = InvariantCache(entry.graph)
+            expected = [check(tid, entry.graph, cache) for tid in ids]
+            assert check_many(ids, entry.graph, cache) == expected
+            assert check_many(ids, entry.graph) == expected
+    assert check_many(ids, Graph(0)) == [check(tid, Graph(0)) for tid in ids]
+    assert check_many((), cycle(4)) == []
+    with pytest.raises(KeyError, match="unknown theorem id 'T9.9'"):
+        check_many(("EQ1", "T9.9"), cycle(4))
+    with pytest.raises(ValueError, match="different graph"):
+        check_many(ids, cycle(4), InvariantCache(path(3)))
+    with pytest.raises(SolverLimitError):
+        check_many(ids, Graph(CHECK_MAX_ORDER + 1))
 
 
 def test_t11_not_applicable_on_k1():
