@@ -28,7 +28,6 @@ from pathlib import Path
 from . import __version__
 from .catalog import CATALOG_MAX_ORDER, CATALOG_SHA256, CatalogEntry, enumerate_graphs
 from .graphs import (
-    Graph,
     complement,
     encode_graph6,
     is_connected,
@@ -43,6 +42,7 @@ from .theorems import (
     SEARCH_MODES,
     THEOREMS,
     Status,
+    TheoremVerdict,
     check_many,
     figure1_graph,
     search_extremal,
@@ -66,27 +66,6 @@ class UsageError(Exception):
 # ---------------------------------------------------------------------------
 
 
-def _load_corpus_text(text: str) -> list[Graph]:
-    """graph6 lines, or a single edge-list graph when the header is numeric."""
-    lines = [ln.strip() for ln in text.splitlines() if ln.strip()]
-    if not lines:
-        return []
-    if lines[0][0].isdigit():
-        return [parse_edge_list(text)]
-    return [parse_graph6(ln) for ln in lines]
-
-
-def _read_corpus(path: str | None) -> list[Graph]:
-    try:
-        text = sys.stdin.read() if path is None or path == "-" else Path(path).read_text()
-    except (OSError, UnicodeDecodeError) as exc:
-        raise UsageError(f"cannot read corpus {path}: {exc}") from exc
-    try:
-        return _load_corpus_text(text)
-    except ValueError as exc:  # Graph6Error, EdgeListError, or an order Graph rejects
-        raise UsageError(str(exc)) from exc
-
-
 def _catalog_order(n: int) -> int:
     if not 1 <= n <= CATALOG_MAX_ORDER:
         raise UsageError(f"catalog order must be in [1, {CATALOG_MAX_ORDER}], got {n}")
@@ -94,17 +73,33 @@ def _catalog_order(n: int) -> int:
 
 
 def _corpus_lines(path: str | None) -> list[str]:
-    """The corpus as sorted graph6 lines, once every graph passed the order
-    guards; the parsed graphs are not kept."""
-    graphs = _read_corpus(path)
-    for g in graphs:
+    """The corpus (graph6 lines, or a single edge-list graph when the header
+    is numeric) as sorted graph6 lines, once every graph passed the order
+    guards; the parsed graphs are not kept.
+
+    A graph6 line that ``parse_graph6`` accepts is its own encoding, so
+    only an edge-list graph is encoded.
+    """
+    try:
+        text = sys.stdin.read() if path is None or path == "-" else Path(path).read_text()
+    except (OSError, UnicodeDecodeError) as exc:
+        raise UsageError(f"cannot read corpus {path}: {exc}") from exc
+    lines = [ln.strip() for ln in text.splitlines() if ln.strip()]
+    try:
+        if lines and lines[0][0].isdigit():
+            corpus = [(parse_edge_list(text), None)]
+        else:
+            corpus = [(parse_graph6(ln), ln) for ln in lines]
+    except ValueError as exc:  # Graph6Error, EdgeListError, or an order Graph rejects
+        raise UsageError(str(exc)) from exc
+    for g, _ in corpus:
         if g.n == 0:
             raise UsageError("order-0 graphs are not accepted by this command")
         if g.n > CHECK_MAX_ORDER:
             raise SolverLimitError(
                 f"graph of order {g.n} exceeds the command limit of {CHECK_MAX_ORDER}"
             )
-    return sorted(encode_graph6(g) for g in graphs)
+    return sorted(encode_graph6(g) if ln is None else ln for g, ln in corpus)
 
 
 # ---------------------------------------------------------------------------
@@ -172,7 +167,10 @@ def catalog_lines(n: int, connected: bool = True) -> list[str]:
 # results early, so the report is written while the workers compute.
 MAX_CHUNK = 64
 
-Verdicts = list[tuple[str, str]]  # (theorem id, status) per checked theorem
+# The summary keys an entry's verdicts are counted into: one per status,
+# then the violations of proven entries.
+TALLY_KEYS = (*(status.value for status in Status), "proven_violations")
+Tally = tuple[int, ...]  # counts in TALLY_KEYS order; empty for entries without verdicts
 
 
 def _csv_text(rows: list[list]) -> str:
@@ -250,7 +248,7 @@ def _report_to_json(report: InvariantReport) -> tuple[dict, dict]:
     return values, {key: mask_or_none(m) for key, m in report.witnesses.items()}
 
 
-def _invariants_task(g6: str, fmt: str) -> tuple[str, Verdicts]:
+def _invariants_task(g6: str, fmt: str) -> tuple[str, Tally]:
     g = parse_graph6(g6)
     report = compute_report(g)
     values, witnesses = _report_to_json(report)
@@ -261,14 +259,7 @@ def _invariants_task(g6: str, fmt: str) -> tuple[str, Verdicts]:
         "core": members(report.core),
         "witnesses": witnesses,
     }
-    return _render(entry, [[g6, g.n, *values.values()]], fmt), []
-
-
-def _verdicts(g: Graph, cache: InvariantCache, ids: tuple[str, ...]) -> list[dict]:
-    return [
-        {"theorem": v.theorem_id, "status": v.status.value, "witness": v.witness}
-        for v in check_many(ids, g, cache)
-    ]
+    return _render(entry, [[g6, g.n, *values.values()]], fmt), ()
 
 
 # The rendered text of each verdict whose witness holds only scalars, keyed
@@ -280,38 +271,44 @@ _VERDICT_TEXTS_MAX = 4096
 _SCALARS = frozenset((str, int, bool, type(None)))
 
 
-def _verdict_text(verdict: dict) -> _Encoded:
+def _verdict_text(verdict: TheoremVerdict) -> _Encoded:
     """A verdict's JSON text at its place in a report: in the verdicts of an
     entry of the report's entries."""
-    witness = verdict["witness"]
+    tid, status, witness = verdict
     types = tuple(map(type, witness.values()))
     key = None
     if _SCALARS.issuperset(types):
-        key = (verdict["theorem"], verdict["status"], tuple(witness.items()), types)
+        key = (tid, status, tuple(witness.items()), types)
         text = _VERDICT_TEXTS.get(key)
         if text is not None:
             return text
     out: list[str] = []
-    _encode(verdict, " " * 8, out)
+    _encode({"theorem": tid, "status": status.value, "witness": witness}, " " * 8, out)
     text = _Encoded("".join(out))
     if key is not None and len(_VERDICT_TEXTS) < _VERDICT_TEXTS_MAX:
         _VERDICT_TEXTS[key] = text
     return text
 
 
-def _render_verdicts(entry: dict, key: list, fmt: str) -> tuple[str, Verdicts]:
-    """An entry with verdicts, rendered with one CSV row per verdict (``key``
-    then theorem and status), and its verdicts for the summary."""
-    verdicts = [(v["theorem"], v["status"]) for v in entry["verdicts"]]
-    if fmt == "json":
-        entry = dict(entry, verdicts=[_verdict_text(v) for v in entry["verdicts"]])
-    return _render(entry, [[*key, *v] for v in verdicts], fmt), verdicts
+def _render_verdicts(entry: dict, key: list, fmt: str) -> tuple[str, Tally]:
+    """An entry whose ``verdicts`` are ``TheoremVerdict`` tuples, rendered
+    with one CSV row per verdict (``key`` then theorem and status), and the
+    tally of its verdicts for the summary."""
+    verdicts = entry["verdicts"]
+    statuses = [v.status for v in verdicts]
+    proven = sum(
+        1 for tid, status, _ in verdicts
+        if status is Status.VIOLATED and THEOREMS[tid].expected == "proven"
+    )
+    tally = (*map(statuses.count, Status), proven)
+    if fmt == "csv":
+        return _csv_text([[*key, tid, status.value] for tid, status, _ in verdicts]), tally
+    return _render(dict(entry, verdicts=[_verdict_text(v) for v in verdicts]), [], fmt), tally
 
 
-def _verify_task(g6: str, ids: tuple[str, ...], fmt: str) -> tuple[str, Verdicts]:
+def _verify_task(g6: str, ids: tuple[str, ...], fmt: str) -> tuple[str, Tally]:
     g = parse_graph6(g6)
-    entry = {"graph6": g6, "n": g.n, "verdicts": _verdicts(g, InvariantCache(g), ids)}
-    return _render_verdicts(entry, [g6], fmt)
+    return _render_verdicts({"graph6": g6, "n": g.n, "verdicts": check_many(ids, g)}, [g6], fmt)
 
 
 def _map_tasks(fn, items: list, jobs: int) -> Iterator:
@@ -352,16 +349,14 @@ def _document(command: str, entries: list, summary: dict) -> str:
 
 
 def _status_summary() -> dict:
-    summary = {status.value: 0 for status in Status}
-    summary["proven_violations"] = 0
-    return summary
+    return dict.fromkeys(TALLY_KEYS, 0)
 
 
 def _write_report(
     command: str,
     fmt: str,
     header: list[str],
-    results: Iterable[tuple[str, Verdicts]],
+    results: Iterable[tuple[str, Tally]],
     summary: dict,
 ) -> dict:
     """Write one report to stdout, each rendered entry as ``results`` yields it.
@@ -369,23 +364,22 @@ def _write_report(
     In JSON the sorted keys put ``entries`` before ``summary``, so the
     summary is tallied along the way and written after the last entry;
     the bytes equal those of the whole document dumped at once.  Each
-    result carries the verdicts of its entry, counted into the summary's
-    status keys.  Returns the summary with the entry count as ``graphs``.
+    result carries the tally of its entry's verdicts, added into the
+    summary's ``TALLY_KEYS``.  Returns the summary with the entry count as
+    ``graphs``.
     """
     out = sys.stdout
     summary = dict(summary, graphs=0)
     if fmt == "csv":
         out.write(_csv_text([header]))
     head = _document(command, [0], {}).split(_ENTRY_SLOT)[0] + "\n"
-    for text, verdicts in results:
+    for text, tally in results:
         if fmt == "json":
-            out.write(",\n" if summary["graphs"] else head)
+            text = (",\n" if summary["graphs"] else head) + text
         out.write(text)
         summary["graphs"] += 1
-        for tid, status in verdicts:
-            summary[status] += 1
-            if status == Status.VIOLATED.value and THEOREMS[tid].expected == "proven":
-                summary["proven_violations"] += 1
+        for key, count in zip(TALLY_KEYS, tally):
+            summary[key] += count
     if fmt == "json":
         if summary["graphs"]:
             out.write("\n" + _document(command, [0], summary).split(_ENTRY_SLOT)[1] + "\n")
@@ -411,9 +405,13 @@ def _parse_theorem_ids(selector: str) -> tuple[str, ...]:
     if selector == "all":
         return tuple(THEOREMS)
     ids = tuple(part.strip() for part in selector.split(",") if part.strip())
+    if not ids:
+        raise UsageError(f"no theorem id in {selector!r}")
     for tid in ids:
         if tid not in THEOREMS:
             raise UsageError(f"unknown theorem id {tid!r}")
+    if len(set(ids)) < len(ids):
+        raise UsageError(f"a theorem id is named twice in {selector!r}")
     return ids
 
 
@@ -450,7 +448,7 @@ def _cmd_counterexamples(args: argparse.Namespace, command: str) -> int:
                 "graph6": encode_graph6(g),
                 "n": g.n,
                 "invariants": values,
-                "verdicts": _verdicts(g, cache, ids),
+                "verdicts": check_many(ids, g, cache),
             }
         )
     entries.sort(key=lambda e: e["graph6"])
@@ -468,7 +466,7 @@ def _cmd_search(args: argparse.Namespace, command: str) -> int:
     ]
     keys = sorted({k for e in entries for k in e["values"]})
     results = (
-        (_render(e, [[e["graph6"], *(e["values"].get(k) for k in keys)]], args.format), [])
+        (_render(e, [[e["graph6"], *(e["values"].get(k) for k in keys)]], args.format), ())
         for e in entries
     )
     _write_report(command, args.format, ["graph6", *keys], results, {"mode": args.mode})

@@ -78,8 +78,13 @@ class Graph:
             for u in iter_bits(adj[v]):
                 if not (adj[u] >> v) & 1:
                     raise ValueError(f"asymmetric adjacency between {u} and {v}")
-        g = cls(0)
-        object.__setattr__(g, "n", n)
+        return cls._trusted(adj)
+
+    @classmethod
+    def _trusted(cls, adj: Sequence[int]) -> "Graph":
+        """A graph on neighbor bitmasks already known to be valid."""
+        g = cls.__new__(cls)
+        object.__setattr__(g, "n", len(adj))
         object.__setattr__(g, "adj", tuple(adj))
         return g
 
@@ -160,6 +165,9 @@ class Bipartition(NamedTuple):
 # each group offset by 63, zero-padded to a multiple of 6 bits.
 # ---------------------------------------------------------------------------
 
+# Body byte -> its six bits in reverse order (bytes below 63 are rejected).
+_REVERSED_GROUP = [0] * 63 + [int(f"{v:06b}"[::-1], 2) for v in range(64)]
+
 
 def parse_graph6(text: str) -> Graph:
     """Decode a graph6 string into a labeled graph.
@@ -184,25 +192,26 @@ def parse_graph6(text: str) -> Graph:
         )
     if len(body) > nbytes:
         raise Graph6Error("trailing garbage after graph6 body")
-    groups = []
-    for ch in body:
-        val = ord(ch) - 63
-        if val < 0 or val > 63:
-            raise Graph6Error(f"graph6 body byte out of range: {ord(ch)}")
-        groups.append(val)
-    if nbytes:
-        pad = nbytes * 6 - nbits
-        if groups[-1] & ((1 << pad) - 1):
-            raise Graph6Error("nonzero padding bits in graph6 body")
-    edges = []
-    idx = 0
+    if body and not ("?" <= min(body) and max(body) <= "~"):
+        bad = next(ch for ch in body if not "?" <= ch <= "~")
+        raise Graph6Error(f"graph6 body byte out of range: {ord(bad)}")
+    if nbytes and (ord(body[-1]) - 63) & ((1 << (nbytes * 6 - nbits)) - 1):
+        raise Graph6Error("nonzero padding bits in graph6 body")
+    # The body as one int whose bit k is the k-th pair x(0,1), x(0,2), ...:
+    # the groups in reverse order, each with its six bits reversed.
+    bits = 0
+    for byte in reversed(body.encode()):
+        bits = (bits << 6) | _REVERSED_GROUP[byte]
+    adj = [0] * n
     for j in range(1, n):
-        for i in range(j):
-            group, off = divmod(idx, 6)
-            if (groups[group] >> (5 - off)) & 1:
-                edges.append((i, j))
-            idx += 1
-    return Graph(n, edges)
+        col = bits & ((1 << j) - 1)  # the neighbors of j below j
+        bits >>= j
+        adj[j] = col
+        while col:
+            low = col & -col
+            adj[low.bit_length() - 1] |= 1 << j
+            col ^= low
+    return Graph._trusted(adj)
 
 
 def encode_graph6(g: Graph) -> str:

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass
-from typing import Callable, Sequence
+from typing import Callable, NamedTuple, Sequence
 
 from .catalog import CatalogEntry
 from .graphs import (
@@ -20,7 +20,6 @@ from .graphs import (
     components,
     induced_subgraph,
     is_complete,
-    is_tree,
     iter_bits,
     members,
     pendant_vertices,
@@ -36,8 +35,7 @@ class Status(enum.Enum):
     VIOLATED = "Violated"
 
 
-@dataclass(frozen=True)
-class TheoremVerdict:
+class TheoremVerdict(NamedTuple):
     theorem_id: str
     status: Status
     witness: dict
@@ -172,10 +170,12 @@ def _t12(g: Graph, c: InvariantCache):
 def _l21(g: Graph, c: InvariantCache):
     if is_complete(g):
         return None, {"reason": "complete graph"}
-    comp = complement(g)
-    if any(comp.adj[u] & comp.adj[v] for u, v in comp.edges()):
+    # A triangle of the complement is three pairwise non-adjacent vertices.
+    full = g.full_mask
+    non = [full & ~row & ~(1 << v) for v, row in enumerate(g.adj)]
+    if any(non[u] & non[v] for u in range(g.n) for v in iter_bits(non[u])):
         return None, {"reason": "complement has a triangle"}
-    comp_alpha = omega(comp).alpha
+    comp_alpha = omega(complement(g)).alpha
     cover = g.n - comp_alpha
     ok = c.tau_i == cover and c.gamma_it >= cover
     return ok, {
@@ -214,7 +214,7 @@ def _t26(g: Graph, c: InvariantCache):
 
 
 def _tree(g: Graph, c: InvariantCache):
-    if not is_tree(g):
+    if not c.connected or g.m != g.n - 1:
         return None, {"reason": "not a tree"}
     ok = c.gamma_it in (c.gamma, c.gamma + 1)
     return ok, {"gamma_it": c.gamma_it, "gamma": c.gamma}
@@ -274,7 +274,7 @@ def _t31_orig(g: Graph, c: InvariantCache):
 
 def _component_shape(g: Graph, comp: int) -> str | None:
     """Classify one component as "C4", "corona" or None."""
-    sub, _ = induced_subgraph(g, comp)
+    sub = g if comp == g.full_mask else induced_subgraph(g, comp)[0]
     if sub.n == 4 and sub.m == 4 and all(sub.degree(v) == 2 for v in range(4)):
         return "C4"
     if is_corona(sub) is not None:
@@ -445,10 +445,11 @@ def check_many(
             for tid in theorem_ids
         ]
     cache = cache if cache is not None else InvariantCache(g)
+    not_applicable, holds, violated = Status.NOT_APPLICABLE, Status.HOLDS, Status.VIOLATED
     verdicts = []
     for tid in theorem_ids:
         ok, witness = THEOREMS[tid].fn(g, cache)
-        status = Status.NOT_APPLICABLE if ok is None else Status.HOLDS if ok else Status.VIOLATED
+        status = not_applicable if ok is None else holds if ok else violated
         verdicts.append(TheoremVerdict(tid, status, witness))
     return verdicts
 

@@ -8,12 +8,41 @@ from typing import Sequence
 
 import networkx as nx
 
-from itdom import Graph, InvariantCache, canonical_form, cycle, encode_graph6, is_connected, iter_bits
+from itdom import Graph, Graph6Error, InvariantCache, canonical_form, cycle, encode_graph6, is_connected, iter_bits
 from itdom.graphs import MAX_ORDER
 
 
 def canonical_graph6(g: Graph) -> str:
     return encode_graph6(canonical_form(g))
+
+
+def reference_parse_graph6(text: str) -> Graph:
+    """Definitional reference for ``parse_graph6``: checks in the same order,
+    with the same messages, then reads the pair bits one by one."""
+    if not text:
+        raise Graph6Error("empty graph6 string")
+    head = ord(text[0])
+    if head < 63 or head > 126:
+        raise Graph6Error(f"graph6 size byte out of range: {head}")
+    if head == 126:
+        raise Graph6Error("graph6 orders above 62 are not supported")
+    n = head - 63
+    nbits = n * (n - 1) // 2
+    nbytes = (nbits + 5) // 6
+    body = text[1:]
+    if len(body) < nbytes:
+        raise Graph6Error(f"graph6 body too short: expected {nbytes} bytes, got {len(body)}")
+    if len(body) > nbytes:
+        raise Graph6Error("trailing garbage after graph6 body")
+    groups = []
+    for ch in body:
+        if not 0 <= ord(ch) - 63 <= 63:
+            raise Graph6Error(f"graph6 body byte out of range: {ord(ch)}")
+        groups.append(ord(ch) - 63)
+    if nbytes and groups[-1] & ((1 << (nbytes * 6 - nbits)) - 1):
+        raise Graph6Error("nonzero padding bits in graph6 body")
+    pairs = [(i, j) for j in range(1, n) for i in range(j)]
+    return Graph(n, [pair for k, pair in enumerate(pairs) if (groups[k // 6] >> (5 - k % 6)) & 1])
 
 
 def to_networkx(g: Graph) -> nx.Graph:

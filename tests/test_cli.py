@@ -20,7 +20,7 @@ from itdom import cli
 from itdom.catalog import CATALOG_SHA256
 from itdom.cli import main
 from itdom.invariants import SolverLimitError
-from itdom.theorems import CHECK_MAX_ORDER, THEOREMS, Theorem
+from itdom.theorems import CHECK_MAX_ORDER, THEOREMS, Status, Theorem, TheoremVerdict
 
 FIXTURES = Path(__file__).parent / "fixtures"
 ROOT = Path(__file__).resolve().parent.parent
@@ -209,17 +209,53 @@ def test_verify_unknown_theorem_exit_2(capsys):
     assert "unknown theorem id" in err
 
 
-def test_verify_proven_violation_exits_nonzero(capsys, monkeypatch, tmp_path):
-    # A synthetic always-violated proven entry must flip the exit code.
+@pytest.mark.parametrize(
+    "selector,message",
+    [("", "no theorem id"), (",", "no theorem id"), ("EQ1,EQ1", "named twice"), ("EQ1, T3.3,EQ1", "named twice")],
+)
+def test_verify_theorem_selector_usage_errors(capsys, selector, message):
+    code, out, err = run_cli(capsys, "verify", "--order", "4", "--theorems", selector)
+    assert (code, out) == (2, "")
+    assert message in err
+
+
+@pytest.mark.parametrize("jobs", ["1", "2"])
+@pytest.mark.parametrize("fmt", ["json", "csv"])
+def test_verify_proven_violation_exits_nonzero(capsys, monkeypatch, tmp_path, fmt, jobs):
+    # A synthetic always-violated proven entry must flip the exit code, and
+    # the tally each task returns must reach the summary.
     broken = Theorem("BROKEN", "proven", "always violated", lambda g, c: (False, {}))
     monkeypatch.setitem(THEOREMS, "BROKEN", broken)
-    corpus = tmp_path / "one.g6"
-    corpus.write_text("Cl\n")
+    corpus = tmp_path / "several.g6"
+    corpus.write_text("Cl\nC~\nA_\n" + encode_graph6(complement(petersen())) + "\n")
     code, out, _ = run_cli(
-        capsys, "verify", "--corpus", str(corpus), "--theorems", "BROKEN", "--jobs", "1"
+        capsys, "verify", "--corpus", str(corpus), "--theorems", "BROKEN,CONJ1",
+        "--format", fmt, "--jobs", jobs,
     )
     assert code == 1
-    assert json.loads(out)["summary"]["proven_violations"] == 1
+    if fmt == "csv":
+        rows = [row.split(",")[1:] for row in out.splitlines()[1:]]
+        assert rows.count(["BROKEN", "Violated"]) == 4
+        assert rows.count(["CONJ1", "Violated"]) == 1
+    else:
+        summary = json.loads(out)["summary"]
+        assert summary == {"graphs": 4, "Holds": 1, "NotApplicable": 2, "Violated": 5, "proven_violations": 4}
+
+
+def test_verify_summary_is_a_recount_of_its_entries(capsys):
+    code, out, _ = run_cli(capsys, "verify", "--order", "7", "--jobs", "2")
+    assert code == 0
+    report = json.loads(out)
+    verdicts = [v for e in report["entries"] for v in e["verdicts"]]
+    recount = dict.fromkeys(["Holds", "NotApplicable", "Violated"], 0)
+    for v in verdicts:
+        recount[v["status"]] += 1
+    recount["proven_violations"] = sum(
+        v["status"] == "Violated" and THEOREMS[v["theorem"]].expected == "proven" for v in verdicts
+    )
+    recount["graphs"] = len(report["entries"])
+    assert report["summary"] == recount
+    assert recount["Violated"] > 0  # the refutable entries fail on some order-7 graphs
 
 
 def test_counterexamples_content_and_determinism(capsys):
@@ -637,17 +673,22 @@ def test_encoder_rejects_what_reports_do_not_hold(value):
 def test_reused_verdict_texts_keep_true_apart_from_1(monkeypatch):
     monkeypatch.setattr(cli, "_VERDICT_TEXTS", {})
 
-    def entry(value):
-        verdict = {"theorem": "EQ1", "status": "Holds", "witness": {"w": value, "n": 2}}
+    def entry(verdict):
         return {"graph6": "A_", "n": 2, "verdicts": [verdict]}
 
+    def rendered(value):
+        verdict = TheoremVerdict("EQ1", Status.HOLDS, {"w": value, "n": 2})
+        return cli._render_verdicts(entry(verdict), ["A_"], "json")[0]
+
+    def dumped(value):
+        return _dumped(entry({"theorem": "EQ1", "status": "Holds", "witness": {"w": value, "n": 2}}))
+
     values = [True, 1, False, 0, True, 1, False, 0]
-    texts = [cli._render_verdicts(entry(v), ["A_"], "json")[0] for v in values]
-    assert texts == [_dumped(entry(v)) for v in values]
+    assert [rendered(v) for v in values] == [dumped(v) for v in values]
     assert len(cli._VERDICT_TEXTS) == 4
     # Past its cap the table stops growing; texts stay right.
     monkeypatch.setattr(cli, "_VERDICT_TEXTS_MAX", 4)
-    assert cli._render_verdicts(entry("x"), ["A_"], "json")[0] == _dumped(entry("x"))
+    assert rendered("x") == dumped("x")
     assert len(cli._VERDICT_TEXTS) == 4
 
 

@@ -4,10 +4,24 @@ import random
 from pathlib import Path
 
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
-from itdom import Graph, Graph6Error, encode_graph6, parse_graph6
+from itdom import Graph, Graph6Error, complete, encode_graph6, parse_graph6
 
-from helpers import random_graph
+from helpers import random_graph, reference_parse_graph6
+
+# Orders 0..62: every order the format has a one-byte size for.
+ORDERS = range(63)
+
+
+def _graphs_of_every_order(seed):
+    rng = random.Random(seed)
+    for n in ORDERS:
+        yield Graph(n)
+        if n:
+            yield complete(n)
+        for p in (0.1, 0.5, 0.9):
+            yield random_graph(rng, n, p)
 
 FIXTURES = Path(__file__).parent / "fixtures"
 
@@ -66,11 +80,10 @@ def test_parse_errors_are_distinct(text, match):
 
 
 def test_roundtrip_random_graphs():
-    rng = random.Random(20240811)
-    for _ in range(200):
-        n = rng.randint(0, 20)
-        g = random_graph(rng, n, rng.choice([0.1, 0.3, 0.5, 0.8]))
-        assert parse_graph6(encode_graph6(g)) == g
+    for g in _graphs_of_every_order(20240811):
+        text = encode_graph6(g)
+        assert parse_graph6(text) == g
+        assert encode_graph6(parse_graph6(text)) == text
 
 
 def test_roundtrip_fixture_corpus_byte_exact():
@@ -82,12 +95,53 @@ def test_roundtrip_fixture_corpus_byte_exact():
 
 def test_codec_agrees_with_networkx():
     nx = pytest.importorskip("networkx")
-    rng = random.Random(7)
-    for _ in range(50):
-        n = rng.randint(1, 15)
-        g = random_graph(rng, n, rng.choice([0.2, 0.5, 0.8]))
+    for g in _graphs_of_every_order(7):
         h = nx.Graph()
-        h.add_nodes_from(range(n))
+        h.add_nodes_from(range(g.n))
         h.add_edges_from(g.edges())
         expected = nx.to_graph6_bytes(h, header=False).decode().strip()
         assert encode_graph6(g) == expected
+        assert parse_graph6(expected) == g
+
+
+@st.composite
+def _graph6_like(draw):
+    """A size byte, then a body of about the length it asks for, from bytes
+    in and around the graph6 range; the padding bits are cleared in half of
+    the draws, so that many strings are accepted."""
+    head = draw(st.integers(63, 75) | st.integers(60, 127))
+    n = head - 63
+    nbits = n * (n - 1) // 2 if 0 <= n <= 62 else 0
+    nbytes = (nbits + 5) // 6
+    size = draw(st.sampled_from([nbytes, nbytes, nbytes, max(0, nbytes - 1), nbytes + 1]))
+    wide = draw(st.booleans()) and draw(st.booleans())
+    alphabet = st.characters(min_codepoint=61 if wide else 63, max_codepoint=128 if wide else 126)
+    body = draw(st.text(alphabet, min_size=size, max_size=size))
+    pad = (1 << (nbytes * 6 - nbits)) - 1
+    if body and "?" <= body[-1] <= "~" and draw(st.booleans()):
+        body = body[:-1] + chr(((ord(body[-1]) - 63) & ~pad) + 63)
+    return chr(head) + body
+
+
+@settings(max_examples=1500, deadline=None, derandomize=True)
+@given(_graph6_like() | st.text(st.characters(min_codepoint=0, max_codepoint=200), max_size=4))
+@example("")
+@example("~??")
+@example("B_")
+@example("B@")
+@example("C~" + chr(127))
+@example("D" + chr(62) + chr(200))
+def test_parse_accepts_only_its_own_encoding(text):
+    # A string the decoder accepts is re-encoded byte for byte, which is why
+    # the CLI passes accepted graph6 lines on without encoding them again;
+    # every other string gets the error the reference decoder gives.
+    try:
+        expected = reference_parse_graph6(text)
+    except Graph6Error as exc:
+        with pytest.raises(Graph6Error) as caught:
+            parse_graph6(text)
+        assert str(caught.value) == str(exc)
+    else:
+        g = parse_graph6(text)
+        assert g == expected
+        assert encode_graph6(g) == text

@@ -1,6 +1,8 @@
 """Registry verdicts, characterization predicates and extremal searches."""
 
 import ast
+import functools
+import random
 from pathlib import Path
 
 import pytest
@@ -17,13 +19,18 @@ from itdom import (
     check_many,
     complement,
     complete,
+    components,
     corona,
     cycle,
     domination_number,
     enumerate_connected_graphs,
+    enumerate_graphs,
     figure1_graph,
     gamma_it,
+    induced_subgraph,
+    is_complete,
     is_corona,
+    is_tree,
     mask_of,
     members,
     naive_oracle,
@@ -36,9 +43,9 @@ from itdom import (
     tau_i,
 )
 from itdom.invariants import SolverLimitError
-from itdom.theorems import CHECK_MAX_ORDER, InvariantCache
+from itdom.theorems import CHECK_MAX_ORDER, InvariantCache, _component_shape
 
-from helpers import canonical_graph6, is_c4
+from helpers import canonical_graph6, is_c4, random_graph
 
 
 def test_registry_shape():
@@ -78,6 +85,40 @@ def test_check_many_is_check_per_id():
         check_many(ids, cycle(4), InvariantCache(path(3)))
     with pytest.raises(SolverLimitError):
         check_many(ids, Graph(CHECK_MAX_ORDER + 1))
+
+
+@functools.cache
+def _shortcut_graphs() -> tuple[Graph, ...]:
+    """Every graph of order 1 to 7, and seeded G(n, p) of order 8 to 32."""
+    rng = random.Random(1704)
+    catalog = [entry.graph for n in range(1, 8) for entry in enumerate_graphs(n)]
+    return (*catalog, *(random_graph(rng, n, p) for n in range(8, 33) for p in (0.2, 0.5, 0.9)))
+
+
+def test_l21_hypothesis_is_three_pairwise_non_adjacent_vertices():
+    # Definition: G is not complete and its complement has a triangle.
+    for g in _shortcut_graphs():
+        comp = complement(g)
+        triangle = any(comp.adj[u] & comp.adj[v] for u, v in comp.edges())
+        ok, witness = THEOREMS["L2.1"].fn(g, InvariantCache(g))
+        assert (witness == {"reason": "complement has a triangle"}) == (not is_complete(g) and triangle)
+
+
+def test_tree_hypothesis_reads_connected():
+    for g in _shortcut_graphs():
+        ok, _ = THEOREMS["TREE"].fn(g, InvariantCache(g))
+        assert (ok is not None) == is_tree(g)
+
+
+def test_t33_shapes_match_induced_subgraphs():
+    def shape(sub):
+        if is_c4(sub):
+            return "C4"
+        return "corona" if is_corona(sub) is not None else None
+
+    for g in _shortcut_graphs():
+        for comp in components(g):
+            assert _component_shape(g, comp) == shape(induced_subgraph(g, comp)[0])
 
 
 def test_t11_not_applicable_on_k1():
