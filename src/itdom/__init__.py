@@ -31,7 +31,6 @@ from .graphs import (
     star,
 )
 from .catalog import (
-    CatalogEntry,
     canonical_form,
     enumerate_connected_graphs,
     enumerate_graphs,
@@ -55,7 +54,6 @@ from .invariants import (
 from .oracle import ORACLE_IDS, OracleLimitError, naive_oracle
 from .theorems import (
     CharacterizationResult,
-    ExtremalResult,
     PROVEN_IDS,
     REFUTABLE_IDS,
     SEARCH_MODES,

@@ -4,28 +4,30 @@ small-graph catalogs.
 The canonical form of a graph is the relabeling minimizing the
 upper-triangle bit encoding x(0,1), x(0,2), x(1,2), x(0,3), ... read as a
 big-endian bit string -- the same bit order graph6 uses, so sorting
-catalog entries by canonical graph6 text equals sorting by encoding.  The
-search places vertices one label at a time and keeps every placement
-prefix whose columns are least so far; a prefix finds its least next
-column with bitmask operations, by narrowing its set of free vertices to
-the non-neighbours of each placed vertex in turn.
+canonical graph6 lines equals sorting by encoding.  The search places
+vertices one label at a time and keeps every placement prefix whose
+columns are least so far; a prefix finds its least next column with
+bitmask operations, by narrowing its set of free vertices to the
+non-neighbours of each placed vertex in turn.
 
-The catalogs are generated orderly (Read, "Every one a winner", 1978).
-Deleting the last label of a canonical graph leaves a canonical graph, so
-each canonical graph on n vertices is one new column added to exactly one
-entry of the previous catalog: every such child is built, and kept iff it
-is canonical.  The connected catalog is a filter of the full one.  Each
-catalog is checked against its pinned SHA-256 before it is returned.
+A catalog is its sorted canonical graph6 lines, and its text is each line
+followed by a newline.  The text of the order-n catalog of all graphs is
+pinned by its SHA-256, checked here whether the catalog was generated or
+read from a cache.  The catalogs are generated orderly (Read, "Every one
+a winner", 1978).  Deleting the last label of a canonical graph leaves a
+canonical graph, so each canonical graph on n vertices is one new column
+added to exactly one line of the previous catalog: every such child is
+built, and kept iff it is canonical.  The connected catalog is a filter
+of the full one.
 """
 
 from __future__ import annotations
 
 import hashlib
-from dataclasses import dataclass
+from collections.abc import Iterable, Iterator
 from functools import lru_cache
-from typing import Iterator
 
-from .graphs import Graph, encode_graph6, is_connected
+from .graphs import Graph, is_connected, parse_graph6
 
 CANONICAL_MAX_ORDER = 9
 
@@ -42,15 +44,6 @@ CATALOG_SHA256 = {
     8: "e1aed63b07ff72557885ee1244044d6ad30ba1b182f74cc7bcb7a02da8d34867",
 }
 CATALOG_MAX_ORDER = max(CATALOG_SHA256)
-
-
-@dataclass(frozen=True)
-class CatalogEntry:
-    """One isomorphism class: the canonically labeled graph and its text form."""
-
-    graph: Graph
-    graph6: str
-    order: int
 
 
 def _canonical_cols(
@@ -125,14 +118,16 @@ def _canonical_cols(
     return tuple(cols)
 
 
-def _graph_from_cols(cols: tuple[int, ...], n: int) -> Graph:
-    edges = []
-    for j in range(1, n):
-        col = cols[j - 1]
-        for i in range(j):
-            if (col >> (j - 1 - i)) & 1:
-                edges.append((i, j))
-    return Graph(n, edges)
+def _graph6(cols: tuple[int, ...], n: int) -> str:
+    """The graph6 line of the n-vertex graph with encoding columns ``cols``:
+    column j, label 0 first, is the next j bits of the graph6 body."""
+    bits = 0
+    for j, col in enumerate(cols, 1):
+        bits = bits << j | col
+    size = n * (n - 1) // 2
+    pad = -size % 6
+    bits <<= pad
+    return chr(n + 63) + "".join(chr((bits >> s & 63) + 63) for s in range(size + pad - 6, -1, -6))
 
 
 def canonical_form(g: Graph) -> Graph:
@@ -141,12 +136,7 @@ def canonical_form(g: Graph) -> Graph:
         raise ValueError(
             f"canonical form is an exhaustive search and limited to n <= {CANONICAL_MAX_ORDER}"
         )
-    return _graph_from_cols(_canonical_cols(g.adj, g.n), g.n)
-
-
-def _entry_from_cols(cols: tuple[int, ...], n: int) -> CatalogEntry:
-    graph = _graph_from_cols(cols, n)
-    return CatalogEntry(graph=graph, graph6=encode_graph6(graph), order=n)
+    return parse_graph6(_graph6(_canonical_cols(g.adj, g.n), g.n))
 
 
 def _column(row: int, j: int) -> int:
@@ -166,29 +156,45 @@ def _children(padj: tuple[int, ...], m: int) -> Iterator[tuple[tuple[int, ...], 
             yield pcols + (col,), child
 
 
+def catalog_text(lines: Iterable[str]) -> bytes:
+    """A catalog's text as ``generate`` prints it: each line, then a newline."""
+    return "".join(ln + "\n" for ln in lines).encode()
+
+
+def read_catalog(n: int, text: bytes) -> tuple[str, ...] | None:
+    """The lines of ``text`` if it hashes to ``CATALOG_SHA256[n]``, else None."""
+    if hashlib.sha256(text).hexdigest() != CATALOG_SHA256[n]:
+        return None
+    return tuple(text.decode().splitlines())
+
+
 @lru_cache(maxsize=None)
-def enumerate_graphs(n: int) -> tuple[CatalogEntry, ...]:
-    """All graphs on n vertices (connected or not), one canonical entry each,
-    sorted by graph6; RuntimeError unless they hash to ``CATALOG_SHA256[n]``."""
+def enumerate_graphs(n: int) -> tuple[str, ...]:
+    """All graphs on n vertices (connected or not), one canonical graph6 line
+    each, sorted; RuntimeError unless their text hashes to ``CATALOG_SHA256[n]``."""
     if not 1 <= n <= CATALOG_MAX_ORDER:
         raise ValueError(f"catalog order must be in [1, {CATALOG_MAX_ORDER}], got {n}")
     if n == 1:
-        entries = [_entry_from_cols((), 1)]
+        lines = [_graph6((), 1)]
     else:
-        entries = [
-            _entry_from_cols(cols, n)
+        lines = [
+            _graph6(cols, n)
             for parent in enumerate_graphs(n - 1)
-            for cols, child in _children(parent.graph.adj, n - 1)
+            for cols, child in _children(parse_graph6(parent).adj, n - 1)
             if _canonical_cols(child, n, cols) is not None
         ]
-    entries.sort(key=lambda e: e.graph6)
-    body = "".join(e.graph6 + "\n" for e in entries).encode()
-    if hashlib.sha256(body).hexdigest() != CATALOG_SHA256[n]:
+    pinned = read_catalog(n, catalog_text(sorted(lines)))
+    if pinned is None:
         raise RuntimeError(f"order-{n} catalog does not match its pinned SHA-256")
-    return tuple(entries)
+    return pinned
+
+
+def connected_lines(lines: Iterable[str]) -> tuple[str, ...]:
+    """The lines of connected graphs among ``lines``, in the same order."""
+    return tuple(ln for ln in lines if is_connected(parse_graph6(ln)))
 
 
 @lru_cache(maxsize=None)
-def enumerate_connected_graphs(n: int) -> tuple[CatalogEntry, ...]:
-    """The connected entries of ``enumerate_graphs(n)``, in the same order."""
-    return tuple(e for e in enumerate_graphs(n) if is_connected(e.graph))
+def enumerate_connected_graphs(n: int) -> tuple[str, ...]:
+    """The connected graphs among ``enumerate_graphs(n)``, in the same order."""
+    return connected_lines(enumerate_graphs(n))

@@ -6,6 +6,9 @@ field is pinned to zero with actual wall time logged to stderr instead.
 Reports are written entry by entry as the results arrive, so memory does
 not grow with the number of graphs; a run that fails part way leaves an
 incomplete report on stdout and exits non-zero.
+
+The catalog of all graphs of each order is cached on disk as the text
+``generate --all`` prints, in a file named by its pinned SHA-256.
 """
 
 from __future__ import annotations
@@ -13,7 +16,6 @@ from __future__ import annotations
 import argparse
 import contextlib
 import csv
-import hashlib
 import io
 import json
 import os
@@ -26,11 +28,17 @@ from json.encoder import encode_basestring_ascii as _quote
 from pathlib import Path
 
 from . import __version__
-from .catalog import CATALOG_MAX_ORDER, CATALOG_SHA256, CatalogEntry, enumerate_graphs
+from .catalog import (
+    CATALOG_MAX_ORDER,
+    CATALOG_SHA256,
+    catalog_text,
+    connected_lines,
+    enumerate_graphs,
+    read_catalog,
+)
 from .graphs import (
     complement,
     encode_graph6,
-    is_connected,
     members,
     parse_edge_list,
     parse_graph6,
@@ -121,32 +129,22 @@ def _all_graph_lines(n: int) -> list[str]:
     miss, and the catalog is regenerated in its place.  A cache that cannot
     be read is a miss too; one that cannot be written is noted on stderr.
     """
-    pin = CATALOG_SHA256[n]
-    path = _cache_dir() / f"catalog-v1-n{n}-{pin}.g6"
-    try:
-        body = path.read_bytes()
-    except OSError:
-        body = b""
-    if hashlib.sha256(body).hexdigest() == pin:
-        return body.decode().splitlines()
-    lines = [entry.graph6 for entry in enumerate_graphs(n)]
+    path = _cache_dir() / f"catalog-v1-n{n}-{CATALOG_SHA256[n]}.g6"
+    with contextlib.suppress(OSError):
+        cached = read_catalog(n, path.read_bytes())
+        if cached is not None:
+            return list(cached)
+    lines = enumerate_graphs(n)
     tmp = path.with_suffix(f".{os.getpid()}.tmp")  # no clash between processes
     try:
         path.parent.mkdir(parents=True, exist_ok=True)
-        tmp.write_bytes("".join(ln + "\n" for ln in lines).encode())
+        tmp.write_bytes(catalog_text(lines))
         tmp.replace(path)
     except OSError as exc:
         with contextlib.suppress(OSError):
             tmp.unlink()
         print(f"note: catalog cache not written: {exc}", file=sys.stderr)
-    return lines
-
-
-def _connected_entries(n: int) -> list[CatalogEntry]:
-    """The order-n connected catalog, sorted: the connected lines of the one
-    cached file of all graphs, each parsed once."""
-    parsed = ((parse_graph6(ln), ln) for ln in _all_graph_lines(n))
-    return [CatalogEntry(g, ln, n) for g, ln in parsed if is_connected(g)]
+    return list(lines)
 
 
 def catalog_lines(n: int, connected: bool = True) -> list[str]:
@@ -154,9 +152,8 @@ def catalog_lines(n: int, connected: bool = True) -> list[str]:
 
     Both catalogs come from the one cached file of all graphs.
     """
-    if connected:
-        return [entry.graph6 for entry in _connected_entries(n)]
-    return _all_graph_lines(n)
+    lines = _all_graph_lines(n)
+    return list(connected_lines(lines)) if connected else lines
 
 
 # ---------------------------------------------------------------------------
@@ -263,9 +260,9 @@ def _invariants_task(g6: str, fmt: str) -> tuple[str, Tally]:
 
 
 # The rendered text of each verdict whose witness holds only scalars, keyed
-# by theorem, status, witness items and the types of the witness values, so
-# that True and 1 never share a text.  NotApplicable reasons and small
-# witnesses recur across graphs.  The table stops growing at its cap.
+# by theorem, status value, witness items and the types of the witness
+# values, so that True and 1 never share a text.  NotApplicable reasons and
+# small witnesses recur across graphs.  The table stops growing at its cap.
 _VERDICT_TEXTS: dict[tuple, _Encoded] = {}
 _VERDICT_TEXTS_MAX = 4096
 _SCALARS = frozenset((str, int, bool, type(None)))
@@ -275,15 +272,18 @@ def _verdict_text(verdict: TheoremVerdict) -> _Encoded:
     """A verdict's JSON text at its place in a report: in the verdicts of an
     entry of the report's entries."""
     tid, status, witness = verdict
+    # The documented ``_value_`` is a plain attribute, and a str hashes in C;
+    # ``.value`` and Enum.__hash__ are both Python-level calls.
+    value = status._value_
     types = tuple(map(type, witness.values()))
     key = None
     if _SCALARS.issuperset(types):
-        key = (tid, status, tuple(witness.items()), types)
+        key = (tid, value, tuple(witness.items()), types)
         text = _VERDICT_TEXTS.get(key)
         if text is not None:
             return text
     out: list[str] = []
-    _encode({"theorem": tid, "status": status.value, "witness": witness}, " " * 8, out)
+    _encode({"theorem": tid, "status": value, "witness": witness}, " " * 8, out)
     text = _Encoded("".join(out))
     if key is not None and len(_VERDICT_TEXTS) < _VERDICT_TEXTS_MAX:
         _VERDICT_TEXTS[key] = text
@@ -459,10 +459,10 @@ def _cmd_counterexamples(args: argparse.Namespace, command: str) -> int:
 
 
 def _cmd_search(args: argparse.Namespace, command: str) -> int:
-    catalog = _connected_entries(_catalog_order(args.order))
+    n = _catalog_order(args.order)
     entries = [
-        {"graph6": res.entry.graph6, "n": res.entry.order, "values": res.values}
-        for res in search_extremal(args.mode, catalog)
+        {"graph6": g6, "n": n, "values": values}
+        for g6, values in search_extremal(args.mode, catalog_lines(n))
     ]
     keys = sorted({k for e in entries for k in e["values"]})
     results = (

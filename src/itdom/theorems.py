@@ -10,9 +10,8 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass
-from typing import Callable, NamedTuple, Sequence
+from typing import Callable, Iterable, NamedTuple, Sequence
 
-from .catalog import CatalogEntry
 from .graphs import (
     Graph,
     bipartition,
@@ -22,6 +21,7 @@ from .graphs import (
     is_complete,
     iter_bits,
     members,
+    parse_graph6,
     pendant_vertices,
 )
 from .invariants import InvariantCache, SolverLimitError, omega, tau_i
@@ -283,7 +283,7 @@ def _component_shape(g: Graph, comp: int) -> str | None:
 
 
 def _t33(g: Graph, c: InvariantCache):
-    if g.n == 0 or g.n % 2 or c.has_isolated:
+    if g.n % 2 or c.has_isolated:
         return None, {"reason": "needs even order without isolated vertices"}
     shapes = [_component_shape(g, comp) for comp in components(g)]
     structured = all(shape is not None for shape in shapes)
@@ -299,7 +299,7 @@ def _c34(g: Graph, c: InvariantCache):
 
 
 def _t35(g: Graph, c: InvariantCache):
-    if c.bip is None or g.n == 0 or g.n % 2:
+    if c.bip is None or g.n % 2:
         return None, {"reason": "needs bipartite of even order"}
     if any(comp.bit_count() <= 2 for comp in components(g)):
         return None, {"reason": "has a component of order at most 2"}
@@ -329,7 +329,7 @@ def _t41(g: Graph, c: InvariantCache):
 
 
 def _gtt(g: Graph, c: InvariantCache):
-    if c.has_isolated or g.n == 0:
+    if c.has_isolated:
         return None, {"reason": "isolated vertex"}
     if c.gamma_tt is None:
         raise RuntimeError("gamma_tt is undefined on a graph without isolated vertices")
@@ -464,41 +464,35 @@ def check(theorem_id: str, g: Graph, cache: InvariantCache | None = None) -> The
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class ExtremalResult:
-    entry: CatalogEntry
-    values: dict[str, int]
-
-
 SEARCH_MODES = ("max_tau_i", "bipartite_half_gammait")
 
 
-def search_extremal(mode: str, entries: Sequence[CatalogEntry]) -> list[ExtremalResult]:
-    """Sweeps over a catalog behind the open questions.
+def search_extremal(mode: str, lines: Iterable[str]) -> list[tuple[str, dict[str, int]]]:
+    """Sweeps over a catalog's graph6 lines behind the open questions, as
+    (graph6, values) pairs in the order of ``lines``.
 
-    max_tau_i lists the entries attaining the largest minimum transversal.
-    bipartite_half_gammait lists the bipartite entries of even order
+    max_tau_i lists the graphs attaining the largest minimum transversal.
+    bipartite_half_gammait lists the bipartite graphs of even order
     n >= 4 whose dominating transversal number is n/2, annotated with
     their domination number.
     """
     if mode not in SEARCH_MODES:
         raise ValueError(f"unknown search mode {mode!r}")
+    graphs = ((g6, parse_graph6(g6)) for g6 in lines)
     if mode == "max_tau_i":
-        values = [(entry, tau_i(entry.graph)) for entry in entries]
+        values = [(g6, tau_i(g)) for g6, g in graphs]
         top = max(v for _, v in values)
-        return [
-            ExtremalResult(entry, {"tau_i": v}) for entry, v in values if v == top
-        ]
+        return [(g6, {"tau_i": v}) for g6, v in values if v == top]
     out = []
-    for entry in entries:
-        g, n = entry.graph, entry.order
+    for g6, g in graphs:
+        n = g.n
         if n < 3 or n % 2 or bipartition(g) is None:
             continue
         c = InvariantCache(g)
         if 2 * c.gamma_it == n:
             if c.gamma not in (n // 2 - 1, n // 2):
                 raise RuntimeError(
-                    f"{entry.graph6}: gamma_it = n/2 but gamma = {c.gamma} is not n/2 - 1 or n/2"
+                    f"{g6}: gamma_it = n/2 but gamma = {c.gamma} is not n/2 - 1 or n/2"
                 )
-            out.append(ExtremalResult(entry, {"gamma": c.gamma, "gamma_it": c.gamma_it}))
+            out.append((g6, {"gamma": c.gamma, "gamma_it": c.gamma_it}))
     return out

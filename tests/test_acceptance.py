@@ -72,14 +72,14 @@ def test_criterion_2_bipartite_dichotomy_exhaustive():
     started = time.perf_counter()
     checked = 0
     for n in range(1, 8):
-        for entry in enumerate_connected_graphs(n):
-            g = entry.graph
+        for g6 in enumerate_connected_graphs(n):
+            g = parse_graph6(g6)
             if bipartition(g) is None:
                 continue
             checked += 1
             gamma = domination_number(g)
             value, _ = gamma_it(g)
-            assert value in (gamma, gamma + 1), entry.graph6
+            assert value in (gamma, gamma + 1), g6
     elapsed = time.perf_counter() - started
     assert checked > 60
     assert elapsed < 60.0, f"took {elapsed:.1f}s"
@@ -89,9 +89,9 @@ def test_criterion_2_bipartite_dichotomy_exhaustive():
 def test_criterion_3_pendant_characterization_biconditional():
     applicable = 0
     for n in range(1, 8):
-        for entry in enumerate_connected_graphs(n):
-            verdict = check("T3.2", entry.graph)
-            assert verdict.status is not Status.VIOLATED, (entry.graph6, verdict)
+        for g6 in enumerate_connected_graphs(n):
+            verdict = check("T3.2", parse_graph6(g6))
+            assert verdict.status is not Status.VIOLATED, (g6, verdict)
             if verdict.status is Status.HOLDS:
                 applicable += 1
     assert applicable > 0
@@ -116,16 +116,16 @@ def test_criterion_4_figure1_reconstruction():
 
 def test_criterion_5_half_order_domination_characterization():
     for n in (4, 6):
-        for entry in enumerate_connected_graphs(n):
-            g = entry.graph
+        for g6 in enumerate_connected_graphs(n):
+            g = parse_graph6(g6)
             gamma = domination_number(g)
             structured = is_c4(g) or is_corona(g) is not None
-            assert (gamma == n // 2) == structured, entry.graph6
+            assert (gamma == n // 2) == structured, g6
             if gamma == n // 2:
                 value, optima = gamma_it_sets(g)
-                assert value == n // 2, entry.graph6
+                assert value == n // 2, g6
                 if is_corona(g) is not None:
-                    assert pendant_vertices(g) in optima, entry.graph6
+                    assert pendant_vertices(g) in optima, g6
     _passed("5 (gamma = n/2 characterization and gamma_it = n/2, orders 4 and 6)")
 
 
@@ -137,13 +137,13 @@ def test_criterion_5_uniqueness_of_pendant_witness_as_stated():
     # {2, 3, 4} and {0, 4, 5}.  The assertion is kept as stated.
     failures = []
     for base_order in (2, 3):
-        for entry in enumerate_connected_graphs(base_order):
-            g = corona(entry.graph)
+        for g6 in enumerate_connected_graphs(base_order):
+            g = corona(parse_graph6(g6))
             _, optima = gamma_it_sets(g)
             if optima != (pendant_vertices(g),):
                 failures.append(
                     {
-                        "corona_of": entry.graph6,
+                        "corona_of": g6,
                         "optima": [members(s) for s in optima],
                         "pendants": members(pendant_vertices(g)),
                     }
@@ -160,14 +160,15 @@ def test_criterion_6_inequality_suite_full_catalog():
     started = time.perf_counter()
     total = 0
     for n in range(1, 8):
-        entries = enumerate_connected_graphs(n)
-        assert len(entries) == CONNECTED_COUNTS[n]
-        for entry in entries:
+        lines = enumerate_connected_graphs(n)
+        assert len(lines) == CONNECTED_COUNTS[n]
+        for g6 in lines:
             total += 1
-            cache = InvariantCache(entry.graph)
+            g = parse_graph6(g6)
+            cache = InvariantCache(g)
             for tid in PROVEN_IDS:
-                verdict = check(tid, entry.graph, cache)
-                assert verdict.status is not Status.VIOLATED, (tid, entry.graph6)
+                verdict = check(tid, g, cache)
+                assert verdict.status is not Status.VIOLATED, (tid, g6)
     single = time.perf_counter() - started
     assert total == 996
     assert single < 600.0, f"single-threaded run took {single:.1f}s"
@@ -209,7 +210,7 @@ def test_criterion_7_oracle_equivalence():
         "gamma_tt": gamma_tt,
         "matching": matching_number,
     }
-    graphs = [entry.graph for n in range(1, 7) for entry in enumerate_connected_graphs(n)]
+    graphs = [parse_graph6(g6) for n in range(1, 7) for g6 in enumerate_connected_graphs(n)]
     rng = random.Random(13371337)
     for _ in range(500):
         n = rng.randint(1, 12)

@@ -11,6 +11,7 @@ from itdom import (
     complete,
     complete_bipartite,
     cycle,
+    encode_graph6,
     enumerate_connected_graphs,
     enumerate_graphs,
     is_connected,
@@ -142,8 +143,8 @@ def test_catalog_order_range():
 
 @pytest.mark.parametrize("n", sorted(CATALOG_DIGESTS))
 def test_catalogs_are_byte_identical_to_recorded(n):
-    def digest(entries):
-        return hashlib.sha256("".join(g6 + "\n" for g6 in sorted(e.graph6 for e in entries)).encode()).hexdigest()
+    def digest(lines):
+        return hashlib.sha256("".join(g6 + "\n" for g6 in sorted(lines)).encode()).hexdigest()
 
     assert (digest(enumerate_connected_graphs(n)), digest(enumerate_graphs(n))) == CATALOG_DIGESTS[n]
 
@@ -156,31 +157,31 @@ def test_package_pins_are_the_recorded_digests():
 
 def test_order_8_random_graphs_canonicalize_to_catalog_entries():
     nx = pytest.importorskip("networkx")
-    entries = {e.graph6: e.graph for e in enumerate_graphs(8)}
+    lines = set(enumerate_graphs(8))
     rng = random.Random(8008)
     for _ in range(200):
         g = random_graph(rng, 8, rng.choice([0.15, 0.3, 0.5, 0.7, 0.85]))
         g6 = canonical_graph6(g)
-        assert g6 in entries
-        assert nx.is_isomorphic(to_networkx(g), to_networkx(entries[g6]))
+        assert g6 in lines
+        assert nx.is_isomorphic(to_networkx(g), to_networkx(parse_graph6(g6)))
 
 
 def test_catalog_entries_are_canonical_sorted_unique():
     catalogs = [(n, enumerate_connected_graphs(n)) for n in (4, 5, 6)]
     catalogs += [(n, enumerate_graphs(n)) for n in range(1, 8)]
-    for n, entries in catalogs:
-        texts = [e.graph6 for e in entries]
-        assert texts == sorted(texts)
-        assert len(set(texts)) == len(texts)
-        for entry in entries:
-            assert entry.order == n
-            assert parse_graph6(entry.graph6) == entry.graph
-            assert canonical_form(entry.graph) == entry.graph
+    for n, lines in catalogs:
+        assert list(lines) == sorted(lines)
+        assert len(set(lines)) == len(lines)
+        for g6 in lines:
+            g = parse_graph6(g6)
+            assert g.n == n
+            assert encode_graph6(g) == g6
+            assert canonical_form(g) == g
 
 
 @pytest.mark.parametrize("n", [3, 4, 5])
 def test_catalog_matches_raw_edge_mask_sweep(n):
-    incremental = [e.graph6 for e in enumerate_connected_graphs(n)]
+    incremental = list(enumerate_connected_graphs(n))
     sweep = raw_connected_sweep(n)
     assert incremental == sweep
 
@@ -191,7 +192,7 @@ def test_raw_sweep_covers_every_labeled_connected_graph():
 
     from itdom import Graph, is_connected
 
-    catalog = {e.graph6 for e in enumerate_connected_graphs(4)}
+    catalog = set(enumerate_connected_graphs(4))
     pairs = list(combinations(range(4), 2))
     for mask in range(1 << 6):
         g = Graph(4, [pairs[k] for k in range(6) if (mask >> k) & 1])
@@ -210,8 +211,8 @@ def test_catalog_cross_checked_against_networkx_atlas():
         assert sum(nx.is_connected(g) for g in by_order[n]) == CONNECTED_COUNTS[n]
 
     # one-to-one coverage at order 6: every atlas class matches exactly one entry
-    def assert_one_to_one(atlas_graphs, entries):
-        mine = [to_networkx(e.graph) for e in entries]
+    def assert_one_to_one(atlas_graphs, lines):
+        mine = [to_networkx(parse_graph6(g6)) for g6 in lines]
         matched = set()
         for g in atlas_graphs:
             hits = [
@@ -223,7 +224,7 @@ def test_catalog_cross_checked_against_networkx_atlas():
             ]
             assert len(hits) == 1
             matched.add(hits[0])
-        assert len(matched) == len(entries)
+        assert len(matched) == len(lines)
 
     assert_one_to_one([g for g in by_order[6] if nx.is_connected(g)], enumerate_connected_graphs(6))
     assert_one_to_one(by_order[6], enumerate_graphs(6))

@@ -405,6 +405,23 @@ def test_cli_import_leaves_the_process_pool_out():
     assert out == "False\n"
 
 
+@pytest.mark.parametrize(
+    "argv", [("generate", "--order", "6", "--all"), ("verify", "--order", "6", "--jobs", "1")]
+)
+def test_optimized_python_gives_the_same_output(tmp_path, argv):
+    # The cross-checks and the pin check are not assert statements, so
+    # ``python -O`` runs them too; each run starts from its own empty cache.
+    env = {k: v for k, v in os.environ.items() if k != "PYTHONOPTIMIZE"}
+    env["PYTHONPATH"] = str(ROOT / "src")
+    runs = []
+    for flags in ((), ("-O",)):
+        env["XDG_CACHE_HOME"] = str(tmp_path / f"cache{''.join(flags)}")
+        run = subprocess.run([sys.executable, *flags, "-m", "itdom", *argv], capture_output=True, env=env)
+        runs.append((run.returncode, run.stdout))
+    assert runs[0][0] == 0 and runs[0][1]
+    assert runs[1] == runs[0]
+
+
 @pytest.mark.parametrize("jobs", ["1", "2"])
 @pytest.mark.parametrize(
     ("error", "exit_code"),
@@ -628,6 +645,23 @@ def test_order_7_verify_report_bytes(capsys, fmt, jobs):
     code, out, _ = run_cli(capsys, "verify", "--order", "7", *fmt_flag, "--jobs", jobs)
     assert code == 0
     assert hashlib.sha256(out.encode()).hexdigest() == ORDER_7_VERIFY_SHA256[fmt]
+
+
+# SHA-256 of the search reports of version 0.1.0, with --jobs 1.
+SEARCH_SHA256 = {
+    ("max_tau_i", "7", "json"): "3ac1d2d446dca1f3b9d73bb3c394ea1d3fc9bb5b652b23f416c9d0db00623082",
+    ("max_tau_i", "7", "csv"): "81dc87c113f9325b0481c9f3d1c650b05ef8ebc736b88a22c7106886372db251",
+    ("bipartite_half_gammait", "6", "json"): "01a20ef8bc6e32cdae718136bd63bbc842a33804cf26736e48a45a046bf3de1f",
+    ("bipartite_half_gammait", "6", "csv"): "c6fd24d03f794ee11ce1756da4e68bd1b316cd98c177207db2b889490880766b",
+}
+
+
+@pytest.mark.parametrize(("mode", "order", "fmt"), sorted(SEARCH_SHA256))
+def test_search_report_bytes(capsys, mode, order, fmt):
+    fmt_flag = ("--format", "csv") if fmt == "csv" else ()
+    code, out, _ = run_cli(capsys, "search", mode, "--order", order, *fmt_flag, "--jobs", "1")
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == SEARCH_SHA256[mode, order, fmt]
 
 
 def _dumped(value):

@@ -24,6 +24,7 @@ from itdom import (
     mask_of,
     members,
     parse_edge_list,
+    parse_graph6,
     path,
     pendant_vertices,
     petersen,
@@ -103,8 +104,7 @@ def test_corona_pendant_deletion_recovers_base():
     # exactly the pendants, and deleting them gives back the base graph.
     from itdom import induced_subgraph
 
-    for entry in enumerate_connected_graphs(4):
-        h = entry.graph
+    for h in map(parse_graph6, enumerate_connected_graphs(4)):
         if h.n < 2:
             continue
         g = corona(h)
@@ -122,8 +122,8 @@ def test_corona_rejects_oversize():
 
 def test_corona_domination_number_is_base_order():
     for n in range(2, 7):
-        for entry in enumerate_connected_graphs(n):
-            assert domination_number(corona(entry.graph)) == n
+        for h in map(parse_graph6, enumerate_connected_graphs(n)):
+            assert domination_number(corona(h)) == n
 
 
 def test_named_graphs():

@@ -23,6 +23,7 @@ from itdom import (
     iter_bits,
     mask_of,
     omega,
+    parse_graph6,
 )
 
 from helpers import disjoint_union, permute, random_graph, to_networkx
@@ -161,8 +162,8 @@ def _assert_optima_are_the_sorted_sweep(g: Graph):
 
 def test_optima_are_the_sorted_sweep_on_every_small_graph():
     for n in range(1, 7):
-        for entry in enumerate_graphs(n):
-            _assert_optima_are_the_sorted_sweep(entry.graph)
+        for g in map(parse_graph6, enumerate_graphs(n)):
+            _assert_optima_are_the_sorted_sweep(g)
 
 
 def test_optima_are_the_sorted_sweep_on_random_graphs():

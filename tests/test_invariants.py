@@ -26,6 +26,7 @@ from itdom import (
     maximum_matching,
     members,
     omega,
+    parse_graph6,
     path,
     pendant_vertices,
     petersen,
@@ -161,8 +162,7 @@ def test_core_subset_of_every_maximum_set():
 
 def test_xi_bound_when_alpha_exceeds_matching():
     for n in range(2, 7):
-        for entry in enumerate_connected_graphs(n):
-            g = entry.graph
+        for g in map(parse_graph6, enumerate_connected_graphs(n)):
             alpha = omega(g).alpha
             mat = matching_number(g)
             if alpha > mat:
@@ -178,8 +178,7 @@ def test_tau_i_values():
 
 def test_tau_i_one_when_alpha_exceeds_matching():
     for n in range(2, 7):
-        for entry in enumerate_connected_graphs(n):
-            g = entry.graph
+        for g in map(parse_graph6, enumerate_connected_graphs(n)):
             if omega(g).alpha > matching_number(g):
                 assert tau_i(g) == 1
 
@@ -211,8 +210,8 @@ def test_gamma_it_witness_properties():
 
 def test_gamma_it_corona_pendants():
     for n in range(2, 6):
-        for entry in enumerate_connected_graphs(n):
-            g = corona(entry.graph)
+        for h in map(parse_graph6, enumerate_connected_graphs(n)):
+            g = corona(h)
             value, _ = gamma_it(g)
             assert value == n
             pend = pendant_vertices(g)
@@ -274,8 +273,7 @@ def test_report_structural_invariants():
 def test_bipartite_slack_chain():
     # connected bipartite: alpha >= n/2 >= matching
     for n in range(1, 7):
-        for entry in enumerate_connected_graphs(n):
-            g = entry.graph
+        for g in map(parse_graph6, enumerate_connected_graphs(n)):
             if bipartition(g) is None:
                 continue
             alpha = omega(g).alpha
@@ -284,8 +282,7 @@ def test_bipartite_slack_chain():
 
 def test_sandwich_for_connected_graphs():
     for n in range(1, 7):
-        for entry in enumerate_connected_graphs(n):
-            g = entry.graph
+        for g in map(parse_graph6, enumerate_connected_graphs(n)):
             gamma = domination_number(g)
             value, _ = gamma_it(g)
             assert gamma <= value <= gamma + g.min_degree()
@@ -342,8 +339,8 @@ def _assert_least_witnesses(g):
 
 def test_report_witnesses_are_least_masks_on_catalog():
     for n in range(1, 7):
-        for entry in enumerate_connected_graphs(n):
-            _assert_least_witnesses(entry.graph)
+        for g in map(parse_graph6, enumerate_connected_graphs(n)):
+            _assert_least_witnesses(g)
 
 
 def test_report_witnesses_are_least_masks_on_random_graphs():
@@ -358,7 +355,7 @@ def test_report_witnesses_are_least_masks_on_random_graphs():
 
 def test_report_matching_and_sandwich_over_catalog():
     for n in range(1, 8):
-        for entry in enumerate_connected_graphs(n):
-            report = compute_report(entry.graph)
-            assert report.matching == matching_number(entry.graph)
+        for g in map(parse_graph6, enumerate_connected_graphs(n)):
+            report = compute_report(g)
+            assert report.matching == matching_number(g)
             assert max(report.gamma, report.tau_i) <= report.gamma_it

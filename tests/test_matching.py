@@ -16,6 +16,7 @@ from itdom import (
     enumerate_graphs,
     matching_number,
     maximum_matching,
+    parse_graph6,
     petersen,
 )
 
@@ -37,8 +38,8 @@ def _nx_matching_number(g: Graph) -> int:
 
 def test_maximum_matching_is_lex_first_on_every_small_graph():
     for n in range(1, 8):
-        for entry in enumerate_graphs(n):
-            assert maximum_matching(entry.graph) == lex_first_matching(entry.graph)
+        for g in map(parse_graph6, enumerate_graphs(n)):
+            assert maximum_matching(g) == lex_first_matching(g)
 
 
 def test_maximum_matching_is_lex_first_on_random_graphs():

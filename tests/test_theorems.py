@@ -35,6 +35,7 @@ from itdom import (
     members,
     naive_oracle,
     omega,
+    parse_graph6,
     path,
     pendant_condition,
     petersen,
@@ -72,12 +73,17 @@ def test_check_many_is_check_per_id():
     # One guard pass for all ids gives the verdicts of one check per id.
     ids = tuple(THEOREMS)
     for n in range(1, 6):
-        for entry in enumerate_connected_graphs(n):
-            cache = InvariantCache(entry.graph)
-            expected = [check(tid, entry.graph, cache) for tid in ids]
-            assert check_many(ids, entry.graph, cache) == expected
-            assert check_many(ids, entry.graph) == expected
-    assert check_many(ids, Graph(0)) == [check(tid, Graph(0)) for tid in ids]
+        for g in map(parse_graph6, enumerate_connected_graphs(n)):
+            cache = InvariantCache(g)
+            expected = [check(tid, g, cache) for tid in ids]
+            assert check_many(ids, g, cache) == expected
+            assert check_many(ids, g) == expected
+    empty = check_many(ids, Graph(0))
+    assert empty == [check(tid, Graph(0)) for tid in ids]
+    # No check runs on the order-0 graph: every verdict names it.
+    assert [(v.theorem_id, v.status, v.witness) for v in empty] == [
+        (tid, Status.NOT_APPLICABLE, {"reason": "empty graph"}) for tid in ids
+    ]
     assert check_many((), cycle(4)) == []
     with pytest.raises(KeyError, match="unknown theorem id 'T9.9'"):
         check_many(("EQ1", "T9.9"), cycle(4))
@@ -91,7 +97,7 @@ def test_check_many_is_check_per_id():
 def _shortcut_graphs() -> tuple[Graph, ...]:
     """Every graph of order 1 to 7, and seeded G(n, p) of order 8 to 32."""
     rng = random.Random(1704)
-    catalog = [entry.graph for n in range(1, 8) for entry in enumerate_graphs(n)]
+    catalog = [parse_graph6(g6) for n in range(1, 8) for g6 in enumerate_graphs(n)]
     return (*catalog, *(random_graph(rng, n, p) for n in range(8, 33) for p in (0.2, 0.5, 0.9)))
 
 
@@ -127,19 +133,20 @@ def test_t11_not_applicable_on_k1():
 
 def test_t26_holds_on_connected_bipartite_catalog():
     for n in range(1, 7):
-        for entry in enumerate_connected_graphs(n):
-            if bipartition(entry.graph) is None:
+        for g in map(parse_graph6, enumerate_connected_graphs(n)):
+            if bipartition(g) is None:
                 continue
-            assert check("T2.6", entry.graph).status is Status.HOLDS
+            assert check("T2.6", g).status is Status.HOLDS
 
 
 def test_proven_entries_never_violated_on_small_catalog():
     for n in range(1, 7):
-        for entry in enumerate_connected_graphs(n):
-            cache = InvariantCache(entry.graph)
+        for g6 in enumerate_connected_graphs(n):
+            g = parse_graph6(g6)
+            cache = InvariantCache(g)
             for tid in PROVEN_IDS:
-                verdict = check(tid, entry.graph, cache)
-                assert verdict.status is not Status.VIOLATED, (tid, entry.graph6)
+                verdict = check(tid, g, cache)
+                assert verdict.status is not Status.VIOLATED, (tid, g6)
 
 
 def test_conj1_violated_on_petersen_complement():
@@ -200,9 +207,9 @@ def test_figure1_is_a_minimal_counterexample_to_the_original_claim():
 
     witnesses = {n: [] for n in range(1, 6)}
     for n in range(1, 6):
-        for entry in enumerate_connected_graphs(n):
-            if matches_textual_properties(entry.graph):
-                witnesses[n].append(entry.graph6)
+        for g6 in enumerate_connected_graphs(n):
+            if matches_textual_properties(parse_graph6(g6)):
+                witnesses[n].append(g6)
     assert all(not witnesses[n] for n in range(1, 5))
     assert witnesses[5]
     assert canonical_graph6(figure1_graph()) in witnesses[5]
@@ -226,27 +233,27 @@ def test_t32_both_implications_separately():
     from itdom.theorems import _side_labelings
 
     for n in range(2, 7):
-        for entry in enumerate_connected_graphs(n):
-            g = entry.graph
+        for g6 in enumerate_connected_graphs(n):
+            g = parse_graph6(g6)
             cache = InvariantCache(g)
             for x in _side_labelings(cache):
                 jump = cache.gamma_it == cache.gamma + 1
                 cond = pendant_condition(g, x).holds
                 # necessity: a jump forces the pendant structure
-                assert not jump or cond, entry.graph6
+                assert not jump or cond, g6
                 # sufficiency: the pendant structure forces a jump
-                assert not cond or jump, entry.graph6
+                assert not cond or jump, g6
 
 
 def _violations(theorem_id):
-    """(catalog entry, witness) of every connected graph of order at most 8
+    """(graph6, witness) of every connected graph of order at most 8
     that violates ``theorem_id``, in catalog order."""
     found = []
     for n in range(1, 9):
-        for entry in enumerate_connected_graphs(n):
-            verdict = check(theorem_id, entry.graph)
+        for g6 in enumerate_connected_graphs(n):
+            verdict = check(theorem_id, parse_graph6(g6))
             if verdict.status is Status.VIOLATED:
-                found.append((entry, verdict.witness))
+                found.append((g6, verdict.witness))
     return found
 
 
@@ -255,13 +262,14 @@ def test_conjecture_1_violations_through_order_8():
     # at odd n) and fourteen at order 8, each revalidated through the
     # definitional oracle.
     found = _violations("CONJ1")
-    assert [entry.graph6 for entry, _ in found] == [
+    assert [g6 for g6, _ in found] == [
         "EJaW", "EJeg",
         "GJ]CK[", "GJ]CK{", "GJ]C[k", "GJ]C[{", "GJ]C\\k", "GJ]C|[", "GJ]K\\k",
         "GJ]KlK", "GJ]Kl[", "GJ]K|k", "GJ]\\\\k", "GJemvG", "GJemvK", "GJe}vK",
     ]
-    for entry, witness in found:
-        assert naive_oracle(entry.graph)["gamma_it"] == witness["gamma_it"] > (entry.order + 1) // 2
+    for g6, witness in found:
+        g = parse_graph6(g6)
+        assert naive_oracle(g)["gamma_it"] == witness["gamma_it"] > (g.n + 1) // 2
 
 
 def test_original_theorem_3_1_violations_through_order_8():
@@ -269,11 +277,11 @@ def test_original_theorem_3_1_violations_through_order_8():
     # gamma exactly where the side X fails the strict pendant condition, or
     # the other way round.
     found = _violations("T3.1-ORIG")
-    assert [entry.graph6 for entry, _ in found] == [
+    assert [g6 for g6, _ in found] == [
         "A_", "D@s", "E?Fg", "F??Ng", "F?CeW", "G???Ns", "G??GfK", "G??HmG",
     ]
-    for entry, witness in found:
-        g = entry.graph
+    for g6, witness in found:
+        g = parse_graph6(g6)
         oracle = naive_oracle(g)
         assert (oracle["gamma"], oracle["gamma_it"]) == (witness["gamma"], witness["gamma_it"])
         assert len(witness["X"]) == oracle["gamma"]
@@ -303,10 +311,10 @@ def test_pendant_condition_rejects_dependent_set():
 
 def test_is_corona_roundtrip():
     for n in range(1, 6):
-        for entry in enumerate_connected_graphs(n):
-            recovered = is_corona(corona(entry.graph))
+        for h in map(parse_graph6, enumerate_connected_graphs(n)):
+            recovered = is_corona(corona(h))
             assert recovered is not None
-            assert canonical_form(recovered) == canonical_form(entry.graph)
+            assert canonical_form(recovered) == canonical_form(h)
 
 
 def test_is_corona_negative_cases():
@@ -324,15 +332,15 @@ def test_is_corona_special_and_small():
 
 def test_is_corona_absent_when_gamma_below_half():
     for n in (4, 6):
-        for entry in enumerate_connected_graphs(n):
-            if domination_number(entry.graph) < n // 2 and not is_c4(entry.graph):
-                assert is_corona(entry.graph) is None
+        for g in map(parse_graph6, enumerate_connected_graphs(n)):
+            if domination_number(g) < n // 2 and not is_c4(g):
+                assert is_corona(g) is None
 
 
 def test_t33_biconditional_small_orders():
     for n in (2, 4, 6):
-        for entry in enumerate_connected_graphs(n):
-            verdict = check("T3.3", entry.graph)
+        for g in map(parse_graph6, enumerate_connected_graphs(n)):
+            verdict = check("T3.3", g)
             assert verdict.status is Status.HOLDS
 
 
@@ -345,25 +353,23 @@ def test_violated_witness_revalidates():
 
 def test_search_max_tau_i():
     results = search_extremal("max_tau_i", enumerate_connected_graphs(4))
-    assert len(results) == 1
-    assert results[0].values == {"tau_i": 4}
-    assert canonical_form(results[0].entry.graph) == canonical_form(complete(4))
+    assert results == [(canonical_graph6(complete(4)), {"tau_i": 4})]
     results5 = search_extremal("max_tau_i", enumerate_connected_graphs(5))
-    assert [r.values["tau_i"] for r in results5] == [5]
+    assert [values["tau_i"] for _, values in results5] == [5]
 
 
 def test_search_bipartite_half_gammait():
     results = search_extremal("bipartite_half_gammait", enumerate_connected_graphs(4))
-    found = {r.entry.graph6 for r in results}
+    found = {g6 for g6, _ in results}
     assert canonical_graph6(cycle(4)) in found
     assert canonical_graph6(path(4)) in found
-    for r in results:
-        assert r.values["gamma_it"] == 2
-        assert r.values["gamma"] in (1, 2)
+    for g6, values in results:
+        assert values["gamma_it"] == 2
+        assert values["gamma"] in (1, 2)
         # reported values re-verify through the oracle
-        oracle = naive_oracle(r.entry.graph)
-        assert oracle["gamma_it"] == r.values["gamma_it"]
-        assert oracle["gamma"] == r.values["gamma"]
+        oracle = naive_oracle(parse_graph6(g6))
+        assert oracle["gamma_it"] == values["gamma_it"]
+        assert oracle["gamma"] == values["gamma"]
 
 
 def test_search_bipartite_half_gammait_small_orders_empty():
