@@ -51,7 +51,6 @@ from .invariants import (
     omega,
     tau_i,
 )
-from .oracle import ORACLE_IDS, OracleLimitError, naive_oracle
 from .theorems import (
     CharacterizationResult,
     PROVEN_IDS,

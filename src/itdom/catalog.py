@@ -4,7 +4,8 @@ small-graph catalogs.
 The canonical form of a graph is the relabeling minimizing the
 upper-triangle bit encoding x(0,1), x(0,2), x(1,2), x(0,3), ... read as a
 big-endian bit string -- the same bit order graph6 uses, so sorting
-canonical graph6 lines equals sorting by encoding.  The search places
+canonical graph6 lines equals sorting by encoding, and a line is packed
+straight from its columns by ``graphs.pack_graph6``.  The search places
 vertices one label at a time and keeps every placement prefix whose
 columns are least so far; a prefix finds its least next column with
 bitmask operations, by narrowing its set of free vertices to the
@@ -27,7 +28,7 @@ import hashlib
 from collections.abc import Iterable, Iterator
 from functools import lru_cache
 
-from .graphs import Graph, is_connected, parse_graph6
+from .graphs import Graph, graph6_column, is_connected, pack_graph6, parse_graph6
 
 CANONICAL_MAX_ORDER = 9
 
@@ -118,42 +119,24 @@ def _canonical_cols(
     return tuple(cols)
 
 
-def _graph6(cols: tuple[int, ...], n: int) -> str:
-    """The graph6 line of the n-vertex graph with encoding columns ``cols``:
-    column j, label 0 first, is the next j bits of the graph6 body."""
-    bits = 0
-    for j, col in enumerate(cols, 1):
-        bits = bits << j | col
-    size = n * (n - 1) // 2
-    pad = -size % 6
-    bits <<= pad
-    return chr(n + 63) + "".join(chr((bits >> s & 63) + 63) for s in range(size + pad - 6, -1, -6))
-
-
 def canonical_form(g: Graph) -> Graph:
     """Canonically labeled copy; equal canonical forms iff isomorphic."""
     if g.n > CANONICAL_MAX_ORDER:
         raise ValueError(
             f"canonical form is an exhaustive search and limited to n <= {CANONICAL_MAX_ORDER}"
         )
-    return parse_graph6(_graph6(_canonical_cols(g.adj, g.n), g.n))
-
-
-def _column(row: int, j: int) -> int:
-    """Column j of the encoding: label j's edges to labels 0..j-1, label 0 first."""
-    return sum(((row >> i) & 1) << (j - 1 - i) for i in range(j))
+    return parse_graph6(pack_graph6(_canonical_cols(g.adj, g.n), g.n))
 
 
 def _children(padj: tuple[int, ...], m: int) -> Iterator[tuple[tuple[int, ...], tuple[int, ...]]]:
     """(columns, adjacency) of each extension of canonical ``padj`` that may be canonical."""
-    pcols = tuple(_column(padj[j], j) for j in range(1, m))
+    pcols = tuple(graph6_column(padj[j], j) for j in range(1, m))
     last = pcols[-1] if pcols else 0
-    for row in range(1 << m):
-        col = _column(row, m)
-        # swapping labels m - 1 and m would put col >> 1 in column m - 1: a smaller encoding
-        if col >> 1 >= last:
-            child = tuple(r | ((row >> v) & 1) << m for v, r in enumerate(padj)) + (row,)
-            yield pcols + (col,), child
+    # below last << 1, swapping labels m - 1 and m puts col >> 1 < last in column m - 1
+    for col in range(last << 1, 1 << m):
+        row = graph6_column(col, m)
+        child = tuple(r | ((row >> v) & 1) << m for v, r in enumerate(padj)) + (row,)
+        yield pcols + (col,), child
 
 
 def catalog_text(lines: Iterable[str]) -> bytes:
@@ -175,10 +158,10 @@ def enumerate_graphs(n: int) -> tuple[str, ...]:
     if not 1 <= n <= CATALOG_MAX_ORDER:
         raise ValueError(f"catalog order must be in [1, {CATALOG_MAX_ORDER}], got {n}")
     if n == 1:
-        lines = [_graph6((), 1)]
+        lines = [pack_graph6((), 1)]
     else:
         lines = [
-            _graph6(cols, n)
+            pack_graph6(cols, n)
             for parent in enumerate_graphs(n - 1)
             for cols, child in _children(parse_graph6(parent).adj, n - 1)
             if _canonical_cols(child, n, cols) is not None

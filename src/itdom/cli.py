@@ -17,7 +17,6 @@ import argparse
 import contextlib
 import csv
 import io
-import json
 import os
 import sys
 import time
@@ -259,13 +258,12 @@ def _invariants_task(g6: str, fmt: str) -> tuple[str, Tally]:
     return _render(entry, [[g6, g.n, *values.values()]], fmt), ()
 
 
-# The rendered text of each verdict whose witness holds only scalars, keyed
-# by theorem, status value, witness items and the types of the witness
-# values, so that True and 1 never share a text.  NotApplicable reasons and
-# small witnesses recur across graphs.  The table stops growing at its cap.
-_VERDICT_TEXTS: dict[tuple, _Encoded] = {}
+# The rendered text of each verdict, keyed by theorem, status value and the
+# repr of its witness, which tells True from 1 and a list from a dict: equal
+# keys render to equal texts.  Witnesses come only from the checks, so none
+# holds an _Encoded text (whose repr is a str's).  The table stops at its cap.
+_VERDICT_TEXTS: dict[tuple[str, str, str], _Encoded] = {}
 _VERDICT_TEXTS_MAX = 4096
-_SCALARS = frozenset((str, int, bool, type(None)))
 
 
 def _verdict_text(verdict: TheoremVerdict) -> _Encoded:
@@ -275,18 +273,14 @@ def _verdict_text(verdict: TheoremVerdict) -> _Encoded:
     # The documented ``_value_`` is a plain attribute, and a str hashes in C;
     # ``.value`` and Enum.__hash__ are both Python-level calls.
     value = status._value_
-    types = tuple(map(type, witness.values()))
-    key = None
-    if _SCALARS.issuperset(types):
-        key = (tid, value, tuple(witness.items()), types)
-        text = _VERDICT_TEXTS.get(key)
-        if text is not None:
-            return text
-    out: list[str] = []
-    _encode({"theorem": tid, "status": value, "witness": witness}, " " * 8, out)
-    text = _Encoded("".join(out))
-    if key is not None and len(_VERDICT_TEXTS) < _VERDICT_TEXTS_MAX:
-        _VERDICT_TEXTS[key] = text
+    key = (tid, value, repr(witness))
+    text = _VERDICT_TEXTS.get(key)
+    if text is None:
+        out: list[str] = []
+        _encode({"theorem": tid, "status": value, "witness": witness}, " " * 8, out)
+        text = _Encoded("".join(out))
+        if len(_VERDICT_TEXTS) < _VERDICT_TEXTS_MAX:
+            _VERDICT_TEXTS[key] = text
     return text
 
 
@@ -345,11 +339,9 @@ def _document(command: str, entries: list, summary: dict) -> str:
         "summary": summary,
         "elapsed_ms": 0,
     }
-    return json.dumps(report, indent=2, sort_keys=True)
-
-
-def _status_summary() -> dict:
-    return dict.fromkeys(TALLY_KEYS, 0)
+    out: list[str] = []
+    _encode(report, "", out)
+    return "".join(out)
 
 
 def _write_report(
@@ -423,7 +415,7 @@ def _cmd_verify(args: argparse.Namespace, command: str) -> int:
         lines = catalog_lines(_catalog_order(args.order), connected=True)
     results = _map_tasks(partial(_verify_task, ids=ids, fmt=args.format), lines, args.jobs)
     header = ["graph6", "theorem", "status"]
-    summary = _write_report(command, args.format, header, results, _status_summary())
+    summary = _write_report(command, args.format, header, results, dict.fromkeys(TALLY_KEYS, 0))
     return EXIT_OK if summary["proven_violations"] == 0 else EXIT_VERIFY_FAILED
 
 
@@ -454,7 +446,7 @@ def _cmd_counterexamples(args: argparse.Namespace, command: str) -> int:
     entries.sort(key=lambda e: e["graph6"])
     results = (_render_verdicts(e, [e["name"], e["graph6"]], args.format) for e in entries)
     header = ["name", "graph6", "theorem", "status"]
-    _write_report(command, args.format, header, results, _status_summary())
+    _write_report(command, args.format, header, results, dict.fromkeys(TALLY_KEYS, 0))
     return EXIT_OK
 
 

@@ -2,6 +2,8 @@
 
 Vertices are integers 0..n-1 and every vertex set is a plain int bitmask,
 so set algebra used by the exact solvers is single-word arithmetic.
+graph6 lines are packed only by ``pack_graph6``, from the columns that
+``graph6_column`` reads off adjacency rows; ``catalog`` packs through it.
 """
 
 from __future__ import annotations
@@ -214,25 +216,33 @@ def parse_graph6(text: str) -> Graph:
     return Graph._trusted(adj)
 
 
+def graph6_column(row: int, j: int) -> int:
+    """Column j of the encoding: the edges of ``row`` to labels 0..j-1, label 0
+    first.  Reversing j bits is its own inverse, so it turns a column into a row too."""
+    col = 0
+    for _ in range(j):
+        col = col << 1 | row & 1
+        row >>= 1
+    return col
+
+
+def pack_graph6(cols: Iterable[int], n: int) -> str:
+    """The graph6 line of the n-vertex graph with encoding columns ``cols``:
+    column j, label 0 first, is the next j bits of the graph6 body."""
+    bits = 0
+    for j, col in enumerate(cols, 1):
+        bits = bits << j | col
+    size = n * (n - 1) // 2
+    pad = -size % 6
+    bits <<= pad
+    return chr(n + 63) + "".join(chr((bits >> s & 63) + 63) for s in range(size + pad - 6, -1, -6))
+
+
 def encode_graph6(g: Graph) -> str:
     """Encode a labeled graph as graph6 text (inverse of parse_graph6)."""
     if g.n > 62:
         raise Graph6Error(f"graph6 cannot encode order {g.n} (maximum 62)")
-    out = [chr(g.n + 63)]
-    acc = 0
-    nbits = 0
-    for j in range(1, g.n):
-        row = g.adj[j]
-        for i in range(j):
-            acc = (acc << 1) | ((row >> i) & 1)
-            nbits += 1
-            if nbits == 6:
-                out.append(chr(acc + 63))
-                acc = 0
-                nbits = 0
-    if nbits:
-        out.append(chr((acc << (6 - nbits)) + 63))
-    return "".join(out)
+    return pack_graph6((graph6_column(g.adj[j], j) for j in range(1, g.n)), g.n)
 
 
 # ---------------------------------------------------------------------------

@@ -553,12 +553,13 @@ def gamma_it(g: Graph) -> tuple[int, int]:
 
 def gamma_t(g: Graph) -> int | None:
     """Minimum total dominating set size; None when an isolated vertex exists."""
-    return None if g.n == 0 else _evaluator(g).gamma_t
+    return _evaluator(g).gamma_t
 
 
 def gamma_tt(g: Graph) -> int | None:
-    """Minimum total dominating set meeting every maximum independent set."""
-    return None if g.n == 0 else _evaluator(g).gamma_tt
+    """Minimum total dominating set meeting every maximum independent set;
+    None when an isolated vertex exists."""
+    return _evaluator(g).gamma_tt
 
 
 def compute_report(g: Graph) -> InvariantReport:

@@ -354,7 +354,7 @@ _REGISTRY = (
     Theorem(
         "T1.2",
         "proven",
-        "connected non-complete with alpha >= n/2: gamma_it <= n/2",
+        "connected non-complete with alpha >= n/2: gamma_it <= ceil(n/2)",
         _t12,
     ),
     Theorem(
@@ -367,7 +367,7 @@ _REGISTRY = (
     Theorem(
         "T2.4",
         "proven",
-        "connected with alpha > matching: xi >= alpha - matching + 1",
+        "connected with at least one edge and alpha > matching: xi >= alpha - matching + 1",
         _t24,
     ),
     Theorem("C2.4a", "proven", "connected with alpha > matching: tau_i = 1", _c24a),
@@ -481,7 +481,7 @@ def search_extremal(mode: str, lines: Iterable[str]) -> list[tuple[str, dict[str
     graphs = ((g6, parse_graph6(g6)) for g6 in lines)
     if mode == "max_tau_i":
         values = [(g6, tau_i(g)) for g6, g in graphs]
-        top = max(v for _, v in values)
+        top = max((v for _, v in values), default=None)
         return [(g6, {"tau_i": v}) for g6, v in values if v == top]
     out = []
     for g6, g in graphs:

@@ -8,7 +8,7 @@ the solver side.  Feasible only for tiny instances, which is the point.
 
 from __future__ import annotations
 
-from .graphs import Graph, iter_bits
+from itdom.graphs import Graph, iter_bits
 
 ORACLE_VERTEX_LIMIT = 16
 

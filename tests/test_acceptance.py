@@ -28,7 +28,6 @@ from itdom import (
     is_corona,
     matching_number,
     members,
-    naive_oracle,
     omega,
     parse_graph6,
     pendant_vertices,
@@ -40,6 +39,7 @@ from itdom.invariants import gamma_t
 from itdom.theorems import InvariantCache
 
 from helpers import gamma_it_sets, is_c4, random_graph
+from oracle import naive_oracle
 
 CONNECTED_COUNTS = {1: 1, 2: 1, 3: 2, 4: 6, 5: 21, 6: 112, 7: 853}
 

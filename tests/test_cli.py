@@ -1,5 +1,6 @@
 """End-to-end CLI behavior: exit codes, report schema, determinism, workers."""
 
+import ast
 import contextlib
 import hashlib
 import importlib.util
@@ -720,10 +721,14 @@ def test_reused_verdict_texts_keep_true_apart_from_1(monkeypatch):
     values = [True, 1, False, 0, True, 1, False, 0]
     assert [rendered(v) for v in values] == [dumped(v) for v in values]
     assert len(cli._VERDICT_TEXTS) == 4
+    # Witnesses that hold lists and dicts are reused too, one text per key.
+    nested = [[True], [1], {"k": False}, {"k": 0}, [[0, [False]], []], [[0, [0]], []]]
+    assert [rendered(v) for v in nested * 2] == [dumped(v) for v in nested * 2]
+    assert len(cli._VERDICT_TEXTS) == 4 + len(nested)
     # Past its cap the table stops growing; texts stay right.
-    monkeypatch.setattr(cli, "_VERDICT_TEXTS_MAX", 4)
+    monkeypatch.setattr(cli, "_VERDICT_TEXTS_MAX", 4 + len(nested))
     assert rendered("x") == dumped("x")
-    assert len(cli._VERDICT_TEXTS) == 4
+    assert len(cli._VERDICT_TEXTS) == 4 + len(nested)
 
 
 class _ClosedPipe(io.TextIOBase):
@@ -739,3 +744,23 @@ def test_broken_pipe_is_not_an_internal_error(capsys, monkeypatch, jobs):
     code = main(["verify", "--order", "5", "--jobs", jobs])
     assert code == 141
     assert capsys.readouterr().err == ""
+
+
+def test_every_package_module_is_reachable_from_the_cli():
+    """No module of the package serves only the tests: each one is imported,
+    directly or through others, by the command-line front end."""
+    package = Path(cli.__file__).parent
+    imports = {}
+    for path in package.glob("*.py"):
+        tree = ast.parse(path.read_text())
+        imports[path.stem] = {
+            name
+            for node in ast.walk(tree)
+            if isinstance(node, ast.ImportFrom) and node.level == 1
+            for name in ([node.module.split(".")[0]] if node.module else [a.name for a in node.names])
+        }
+    reachable, frontier = set(), {"cli"}
+    while frontier:
+        reachable |= frontier
+        frontier = set().union(*(imports.get(m, set()) for m in frontier)) - reachable
+    assert set(imports) - reachable - {"__init__", "__main__"} == set()

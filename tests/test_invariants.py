@@ -229,6 +229,14 @@ def test_total_domination_values():
     assert gamma_t(star(4)) == 2
 
 
+@pytest.mark.parametrize(
+    "solver", [domination_number, tau_i, gamma_it, gamma_t, gamma_tt, compute_report]
+)
+def test_order_0_graph_has_no_invariants(solver):
+    with pytest.raises(ValueError, match="undefined for the order-0 graph"):
+        solver(Graph(0))
+
+
 def test_gamma_tt_at_least_gamma_it():
     rng = random.Random(31)
     checked = 0

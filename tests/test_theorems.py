@@ -11,6 +11,7 @@ from itdom import (
     Graph,
     PROVEN_IDS,
     REFUTABLE_IDS,
+    SEARCH_MODES,
     Status,
     THEOREMS,
     bipartition,
@@ -33,7 +34,6 @@ from itdom import (
     is_tree,
     mask_of,
     members,
-    naive_oracle,
     omega,
     parse_graph6,
     path,
@@ -47,6 +47,7 @@ from itdom.invariants import SolverLimitError
 from itdom.theorems import CHECK_MAX_ORDER, InvariantCache, _component_shape
 
 from helpers import canonical_graph6, is_c4, random_graph
+from oracle import naive_oracle
 
 
 def test_registry_shape():
@@ -380,6 +381,18 @@ def test_search_bipartite_half_gammait_small_orders_empty():
 def test_search_unknown_mode():
     with pytest.raises(ValueError, match="unknown search mode"):
         search_extremal("widest_girth", enumerate_connected_graphs(4))
+
+
+@pytest.mark.parametrize("mode", SEARCH_MODES)
+def test_search_over_no_lines_finds_nothing(mode):
+    assert search_extremal(mode, []) == []
+
+
+def test_readme_registry_table_lists_the_registry_in_order():
+    readme = (Path(__file__).resolve().parent.parent / "README.md").read_text()
+    table = readme.split("\n## Theorem registry\n\n", 1)[1].split("\n\n", 1)[0]
+    rows = table.splitlines()[2:]  # after the header and its rule
+    assert [row.split("|")[1].strip() for row in rows] == list(THEOREMS)
 
 
 def test_tau_i_alpha_exceeding_matching_gives_one():
