@@ -24,7 +24,6 @@ of the full one.
 
 from __future__ import annotations
 
-import hashlib
 from collections.abc import Iterable, Iterator
 from functools import lru_cache
 
@@ -146,6 +145,8 @@ def catalog_text(lines: Iterable[str]) -> bytes:
 
 def read_catalog(n: int, text: bytes) -> tuple[str, ...] | None:
     """The lines of ``text`` if it hashes to ``CATALOG_SHA256[n]``, else None."""
+    import hashlib  # here, so that only a pin check pays for loading it
+
     if hashlib.sha256(text).hexdigest() != CATALOG_SHA256[n]:
         return None
     return tuple(text.decode().splitlines())

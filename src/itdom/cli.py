@@ -9,51 +9,39 @@ incomplete report on stdout and exits non-zero.
 
 The catalog of all graphs of each order is cached on disk as the text
 ``generate --all`` prints, in a file named by its pinned SHA-256.
+
+Each command imports only what it runs: ``invariants`` loads ``graphs`` and
+``invariants`` alone, ``theorems`` is imported by the commands that check or
+search, and ``catalog`` by those that read a catalog.  A worker receives
+what it calls with its task, so it imports the same modules whatever the
+start method of the pool.
 """
 
 from __future__ import annotations
 
 import argparse
 import contextlib
-import csv
-import io
 import os
 import sys
 import time
-import traceback
-from collections.abc import Iterable, Iterator
+from collections.abc import Callable, Iterable, Iterator
 from functools import partial
 from json.encoder import encode_basestring_ascii as _quote
 from pathlib import Path
+from typing import TYPE_CHECKING
 
 from . import __version__
-from .catalog import (
-    CATALOG_MAX_ORDER,
-    CATALOG_SHA256,
-    catalog_text,
-    connected_lines,
-    enumerate_graphs,
-    read_catalog,
-)
-from .graphs import (
-    complement,
-    encode_graph6,
-    members,
-    parse_edge_list,
-    parse_graph6,
-    petersen,
-)
-from .invariants import InvariantCache, InvariantReport, SolverLimitError, compute_report
-from .theorems import (
+from .graphs import complement, encode_graph6, members, parse_edge_list, parse_graph6, petersen
+from .invariants import (
     CHECK_MAX_ORDER,
-    SEARCH_MODES,
-    THEOREMS,
-    Status,
-    TheoremVerdict,
-    check_many,
-    figure1_graph,
-    search_extremal,
+    InvariantCache,
+    InvariantReport,
+    SolverLimitError,
+    compute_report,
 )
+
+if TYPE_CHECKING:
+    from .theorems import TheoremVerdict
 
 EXIT_OK = 0
 EXIT_VERIFY_FAILED = 1
@@ -61,6 +49,18 @@ EXIT_USAGE = 2
 EXIT_LIMIT = 3
 EXIT_INTERNAL = 4
 EXIT_BROKEN_PIPE = 141  # 128 + SIGPIPE, as a shell reports a reader that left
+
+
+# What the parser and the summaries name from ``catalog`` and ``theorems``,
+# spelled out so that a command that does not run those modules does not
+# import them; tests hold each to its source.
+CATALOG_MAX_ORDER = 8  # catalog.CATALOG_MAX_ORDER
+SEARCH_MODES = ("max_tau_i", "bipartite_half_gammait")  # theorems.SEARCH_MODES
+# The summary keys an entry's verdicts are counted into: one per value of
+# theorems.Status, then the violations of proven entries.
+TALLY_KEYS = ("NotApplicable", "Holds", "Violated", "proven_violations")
+Tally = tuple[int, ...]  # counts in TALLY_KEYS order; empty for entries without verdicts
+Rows = list[list]  # CSV rows
 
 
 class UsageError(Exception):
@@ -128,6 +128,8 @@ def _all_graph_lines(n: int) -> list[str]:
     miss, and the catalog is regenerated in its place.  A cache that cannot
     be read is a miss too; one that cannot be written is noted on stderr.
     """
+    from .catalog import CATALOG_SHA256, catalog_text, enumerate_graphs, read_catalog
+
     path = _cache_dir() / f"catalog-v1-n{n}-{CATALOG_SHA256[n]}.g6"
     with contextlib.suppress(OSError):
         cached = read_catalog(n, path.read_bytes())
@@ -151,6 +153,8 @@ def catalog_lines(n: int, connected: bool = True) -> list[str]:
 
     Both catalogs come from the one cached file of all graphs.
     """
+    from .catalog import connected_lines
+
     lines = _all_graph_lines(n)
     return list(connected_lines(lines)) if connected else lines
 
@@ -162,17 +166,6 @@ def catalog_lines(n: int, connected: bool = True) -> list[str]:
 # Largest number of work items a worker takes at once.  Small chunks return
 # results early, so the report is written while the workers compute.
 MAX_CHUNK = 64
-
-# The summary keys an entry's verdicts are counted into: one per status,
-# then the violations of proven entries.
-TALLY_KEYS = (*(status.value for status in Status), "proven_violations")
-Tally = tuple[int, ...]  # counts in TALLY_KEYS order; empty for entries without verdicts
-
-
-def _csv_text(rows: list[list]) -> str:
-    buf = io.StringIO()
-    csv.writer(buf, lineterminator="\n").writerows(rows)
-    return buf.getvalue()
 
 
 class _Encoded(str):
@@ -223,12 +216,12 @@ def _encode(value, indent: str, out: list[str]) -> None:
         raise TypeError(f"a report cannot hold a value of type {type(value).__name__}")
 
 
-def _render(entry: dict, rows: list[list], fmt: str) -> str:
-    """One entry exactly as the report holds it: its CSV rows, or its JSON
-    object two levels deep, every line four spaces further in than a
-    document of its own."""
+def _render(entry: dict, rows: Rows, fmt: str) -> str | Rows:
+    """One entry as the report holds it: its CSV rows, which the report
+    writes as they come, or the text of its JSON object two levels deep,
+    every line four spaces further in than a document of its own."""
     if fmt == "csv":
-        return _csv_text(rows)
+        return rows
     out = ["    "]
     _encode(entry, "    ", out)
     return "".join(out)
@@ -244,7 +237,7 @@ def _report_to_json(report: InvariantReport) -> tuple[dict, dict]:
     return values, {key: mask_or_none(m) for key, m in report.witnesses.items()}
 
 
-def _invariants_task(g6: str, fmt: str) -> tuple[str, Tally]:
+def _invariants_task(g6: str, fmt: str) -> tuple[str | Rows, Tally]:
     g = parse_graph6(g6)
     report = compute_report(g)
     values, witnesses = _report_to_json(report)
@@ -284,25 +277,30 @@ def _verdict_text(verdict: TheoremVerdict) -> _Encoded:
     return text
 
 
-def _render_verdicts(entry: dict, key: list, fmt: str) -> tuple[str, Tally]:
+def _render_verdicts(entry: dict, key: list, fmt: str, proven: frozenset[str]) -> tuple[str | Rows, Tally]:
     """An entry whose ``verdicts`` are ``TheoremVerdict`` tuples, rendered
     with one CSV row per verdict (``key`` then theorem and status), and the
-    tally of its verdicts for the summary."""
+    tally of its verdicts for the summary; a violation counts as proven
+    when ``proven`` names its theorem."""
     verdicts = entry["verdicts"]
-    statuses = [v.status for v in verdicts]
-    proven = sum(
-        1 for tid, status, _ in verdicts
-        if status is Status.VIOLATED and THEOREMS[tid].expected == "proven"
+    values = [status._value_ for _, status, _ in verdicts]
+    proven_violations = sum(
+        1 for (tid, _, _), value in zip(verdicts, values) if value == "Violated" and tid in proven
     )
-    tally = (*map(statuses.count, Status), proven)
+    tally = (*map(values.count, TALLY_KEYS[:-1]), proven_violations)
     if fmt == "csv":
-        return _csv_text([[*key, tid, status.value] for tid, status, _ in verdicts]), tally
+        return [[*key, tid, value] for (tid, _, _), value in zip(verdicts, values)], tally
     return _render(dict(entry, verdicts=[_verdict_text(v) for v in verdicts]), [], fmt), tally
 
 
-def _verify_task(g6: str, ids: tuple[str, ...], fmt: str) -> tuple[str, Tally]:
+def _verify_task(
+    g6: str, check: Callable, proven: frozenset[str], fmt: str
+) -> tuple[str | Rows, Tally]:
+    """The verdicts of ``check`` (``check_many`` bound to the theorem ids)
+    on one graph, rendered.  A worker imports ``theorems`` when it unpickles
+    ``check``."""
     g = parse_graph6(g6)
-    return _render_verdicts({"graph6": g6, "n": g.n, "verdicts": check_many(ids, g)}, [g6], fmt)
+    return _render_verdicts({"graph6": g6, "n": g.n, "verdicts": check(g)}, [g6], fmt, proven)
 
 
 def _map_tasks(fn, items: list, jobs: int) -> Iterator:
@@ -348,7 +346,7 @@ def _write_report(
     command: str,
     fmt: str,
     header: list[str],
-    results: Iterable[tuple[str, Tally]],
+    results: Iterable[tuple[str | Rows, Tally]],
     summary: dict,
 ) -> dict:
     """Write one report to stdout, each rendered entry as ``results`` yields it.
@@ -363,12 +361,17 @@ def _write_report(
     out = sys.stdout
     summary = dict(summary, graphs=0)
     if fmt == "csv":
-        out.write(_csv_text([header]))
+        import csv
+
+        write = csv.writer(out, lineterminator="\n").writerows
+        write([header])
+    else:
+        write = out.write
     head = _document(command, [0], {}).split(_ENTRY_SLOT)[0] + "\n"
-    for text, tally in results:
+    for rendered, tally in results:
         if fmt == "json":
-            text = (",\n" if summary["graphs"] else head) + text
-        out.write(text)
+            rendered = (",\n" if summary["graphs"] else head) + rendered
+        write(rendered)
         summary["graphs"] += 1
         for key, count in zip(TALLY_KEYS, tally):
             summary[key] += count
@@ -394,6 +397,8 @@ def _cmd_invariants(args: argparse.Namespace, command: str) -> int:
 
 
 def _parse_theorem_ids(selector: str) -> tuple[str, ...]:
+    from .theorems import THEOREMS
+
     if selector == "all":
         return tuple(THEOREMS)
     ids = tuple(part.strip() for part in selector.split(",") if part.strip())
@@ -407,13 +412,23 @@ def _parse_theorem_ids(selector: str) -> tuple[str, ...]:
     return ids
 
 
+def _proven(ids: Iterable[str]) -> frozenset[str]:
+    """The ids among ``ids`` whose registry entries are proven."""
+    from .theorems import THEOREMS
+
+    return frozenset(tid for tid in ids if THEOREMS[tid].expected == "proven")
+
+
 def _cmd_verify(args: argparse.Namespace, command: str) -> int:
+    from .theorems import check_many
+
     ids = _parse_theorem_ids(args.theorems)
     if args.corpus is not None:
         lines = _corpus_lines(args.corpus)
     else:
         lines = catalog_lines(_catalog_order(args.order), connected=True)
-    results = _map_tasks(partial(_verify_task, ids=ids, fmt=args.format), lines, args.jobs)
+    task = partial(_verify_task, check=partial(check_many, ids), proven=_proven(ids), fmt=args.format)
+    results = _map_tasks(task, lines, args.jobs)
     header = ["graph6", "theorem", "status"]
     summary = _write_report(command, args.format, header, results, dict.fromkeys(TALLY_KEYS, 0))
     return EXIT_OK if summary["proven_violations"] == 0 else EXIT_VERIFY_FAILED
@@ -426,6 +441,8 @@ def _cmd_generate(args: argparse.Namespace, command: str) -> int:
 
 
 def _cmd_counterexamples(args: argparse.Namespace, command: str) -> int:
+    from .theorems import check_many, figure1_graph
+
     named = [
         ("petersen_complement", complement(petersen()), ("CONJ1", "L2.1")),
         ("figure1", figure1_graph(), ("T3.1-ORIG", "T3.2")),
@@ -444,13 +461,16 @@ def _cmd_counterexamples(args: argparse.Namespace, command: str) -> int:
             }
         )
     entries.sort(key=lambda e: e["graph6"])
-    results = (_render_verdicts(e, [e["name"], e["graph6"]], args.format) for e in entries)
+    proven = _proven(tid for _, _, ids in named for tid in ids)
+    results = (_render_verdicts(e, [e["name"], e["graph6"]], args.format, proven) for e in entries)
     header = ["name", "graph6", "theorem", "status"]
     _write_report(command, args.format, header, results, dict.fromkeys(TALLY_KEYS, 0))
     return EXIT_OK
 
 
 def _cmd_search(args: argparse.Namespace, command: str) -> int:
+    from .theorems import search_extremal
+
     n = _catalog_order(args.order)
     entries = [
         {"graph6": g6, "n": n, "values": values}
@@ -559,6 +579,8 @@ def main(argv: list[str] | None = None) -> int:
             os.close(devnull)
         return EXIT_BROKEN_PIPE
     except Exception:  # a fault in the solvers or checks, not in the input
+        import traceback
+
         traceback.print_exc()
         return EXIT_INTERNAL
     elapsed = (time.perf_counter() - started) * 1000.0

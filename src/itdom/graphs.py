@@ -167,8 +167,10 @@ class Bipartition(NamedTuple):
 # each group offset by 63, zero-padded to a multiple of 6 bits.
 # ---------------------------------------------------------------------------
 
+# Six bits -> the same bits in reverse order.
+_REVERSED_SIX = [int(f"{v:06b}"[::-1], 2) for v in range(64)]
 # Body byte -> its six bits in reverse order (bytes below 63 are rejected).
-_REVERSED_GROUP = [0] * 63 + [int(f"{v:06b}"[::-1], 2) for v in range(64)]
+_REVERSED_GROUP = [0] * 63 + _REVERSED_SIX
 
 
 def parse_graph6(text: str) -> Graph:
@@ -220,10 +222,11 @@ def graph6_column(row: int, j: int) -> int:
     """Column j of the encoding: the edges of ``row`` to labels 0..j-1, label 0
     first.  Reversing j bits is its own inverse, so it turns a column into a row too."""
     col = 0
-    for _ in range(j):
-        col = col << 1 | row & 1
-        row >>= 1
-    return col
+    while j > 6:  # six bits at a time
+        col = col << 6 | _REVERSED_SIX[row & 63]
+        row >>= 6
+        j -= 6
+    return col << j | _REVERSED_SIX[row & 63] >> (6 - j)
 
 
 def pack_graph6(cols: Iterable[int], n: int) -> str:
@@ -242,7 +245,7 @@ def encode_graph6(g: Graph) -> str:
     """Encode a labeled graph as graph6 text (inverse of parse_graph6)."""
     if g.n > 62:
         raise Graph6Error(f"graph6 cannot encode order {g.n} (maximum 62)")
-    return pack_graph6((graph6_column(g.adj[j], j) for j in range(1, g.n)), g.n)
+    return pack_graph6([graph6_column(g.adj[j], j) for j in range(1, g.n)], g.n)
 
 
 # ---------------------------------------------------------------------------
@@ -405,8 +408,10 @@ def bipartition(g: Graph) -> Bipartition | None:
     vertex goes to X, so connected graphs get the side containing vertex 0.
     """
     color = [-1] * g.n
-    for comp in components(g):
-        root = (comp & -comp).bit_length() - 1
+    for root in range(g.n):
+        if color[root] != -1:
+            continue
+        # The least vertex not yet colored is the least of its component.
         color[root] = 0
         frontier = [root]
         while frontier:

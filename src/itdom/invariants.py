@@ -7,12 +7,13 @@ open neighbourhoods N(v), ``tau_i`` of the maximum independent sets Omega,
 branch-and-bound kernel (``_min_hitting_size``) finds every value, and one
 enumerator (``_hitting_sets``) lists the optimal sets in increasing bitmask
 order, so each reported witness is the least optimum by mask value.  Both
-sort the family by set size and bound with a greedy packing of pairwise
-disjoint unhit sets, each of which needs its own hitter (``_packs``; the
-matching bound of exact dominating-set search, van Rooij and Bodlaender,
-Discrete Appl. Math. 159, 2011).  The value search also keeps the counting
-bound ceil(#unhit / widest) as its first test, and packs only when, at the
-root, packing beats counting.
+take a family as a mask of indices into one index of the sets sorted by
+size (``SetIndex``), built once per graph, and bound with a greedy packing
+of pairwise disjoint unhit sets, each of which needs its own hitter
+(``_packs``; the matching bound of exact dominating-set search, van Rooij
+and Bodlaender, Discrete Appl. Math. 159, 2011).  The value search also
+keeps the counting bound ceil(#unhit / widest) as its first test, and
+packs only when, at the root, packing beats counting.
 ``InvariantCache`` is the single evaluator: it computes each invariant of a
 graph at most once, and the public functions and ``compute_report`` read it.
 
@@ -29,14 +30,17 @@ both would augment M itself.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from bisect import bisect_right
 from functools import cached_property
 from itertools import accumulate
-from typing import Iterator, Sequence
+from typing import Iterator, NamedTuple, Sequence
 
-from .graphs import Bipartition, Graph, bipartition, is_connected, iter_bits
+from .graphs import Bipartition, Graph, bipartition, components, iter_bits
 
 DEFAULT_OMEGA_CAP = 1_000_000
+
+# The largest order the command line and the theorem checks take.
+CHECK_MAX_ORDER = 32
 
 
 class SolverLimitError(RuntimeError):
@@ -47,16 +51,14 @@ class OmegaCapError(SolverLimitError):
     """More maximum independent sets than ``DEFAULT_OMEGA_CAP``."""
 
 
-@dataclass(frozen=True)
-class OmegaFamily:
+class OmegaFamily(NamedTuple):
     """All maximum independent sets of one graph, as ascending bitmasks."""
 
     alpha: int
     sets: tuple[int, ...]
 
 
-@dataclass(frozen=True)
-class InvariantReport:
+class InvariantReport(NamedTuple):
     """Every invariant of one graph plus one optimal witness mask per invariant."""
 
     n: int
@@ -129,11 +131,27 @@ def omega(g: Graph) -> OmegaFamily:
 # ---------------------------------------------------------------------------
 
 
+class SetIndex(NamedTuple):
+    """Families of vertex sets in one index, ordered by set size.
+
+    ``sets`` holds every set of every family, smallest first, ties in the
+    order the families and their sets were given; ``hits[v]`` is the mask
+    of indices of the sets containing vertex ``v``; ``families`` holds,
+    per family, the mask of its indices.  A family that is a union of
+    given ones is the union of their masks, and its sets stay in size
+    order, ties in the given order.
+    """
+
+    sets: list[int]
+    hits: list[int]
+    families: tuple[int, ...]
+
+
 def _incidence(sets: Sequence[int], n: int) -> list[int]:
     """hits[v] for v < n: the bitmask of indices of the sets containing v."""
     hits = [0] * n
     bit = 1
-    for s in sets:  # iter_bits inlined: this loop leads the kernels' time on small graphs
+    for s in sets:  # iter_bits inlined: this loop leads the index's time
         while s:
             low = s & -s
             hits[low.bit_length() - 1] |= bit
@@ -142,16 +160,57 @@ def _incidence(sets: Sequence[int], n: int) -> list[int]:
     return hits
 
 
+def _index(n: int, *families: Sequence[int]) -> SetIndex:
+    """The index of ``families`` of sets of vertices below ``n``."""
+    flat = [s for family in families for s in family]
+    tags = [f for f, family in enumerate(families) for _ in family]
+    sizes = [s.bit_count() for s in flat]
+    order = sorted(range(len(flat)), key=sizes.__getitem__)
+    sets = [flat[i] for i in order]
+    masks = [0] * len(families)
+    for p, i in enumerate(order):
+        masks[tags[i]] |= 1 << p
+    return SetIndex(sets, _incidence(sets, n), tuple(masks))
+
+
+def _with_block(index: SetIndex, block: Sequence[int]) -> SetIndex:
+    """``index`` with one more family, ``block``, whose sets all have the
+    same size: they go in as one run, after the sets no larger than they
+    are, so only the incidence of the block itself is computed."""
+    k = bisect_right(index.sets, block[0].bit_count(), key=int.bit_count)
+    below = (1 << k) - 1
+    width = len(block)
+
+    def spread(mask: int) -> int:  # open a gap of ``width`` indices at k
+        return mask & below | (mask >> k) << (k + width)
+
+    hits = [spread(h) | b << k for h, b in zip(index.hits, _incidence(block, len(index.hits)))]
+    families = (*map(spread, index.families), ((1 << width) - 1) << k)
+    return SetIndex([*index.sets[:k], *block, *index.sets[k:]], hits, families)
+
+
+def _lowest(mask: int, k: int) -> int:
+    """The ``k`` lowest set bits of ``mask``."""
+    if mask.bit_count() <= k:
+        return mask
+    out = 0
+    for _ in range(k):
+        low = mask & -mask
+        out |= low
+        mask ^= low
+    return out
+
+
 def _packs(sets: Sequence[int], unhit: int, need: int, room: int) -> bool:
     """True when ``need`` of the unhit sets, each cut down to ``room``, are
     pairwise disjoint, found greedily in index order.
 
     Disjoint sets need distinct hitters, so ``need`` is then a lower bound
-    on the size of any hitting set drawn from ``room``.  Both kernels sort
-    ``sets`` by size, so the walk takes the smallest sets first, and pass
-    ``unhit`` masked to the first ``n`` indices, ``n`` being the number of
-    vertices: no more than ``n`` nonempty sets are disjoint, and walking a
-    large Omega bit by bit costs more than it cuts.
+    on the size of any hitting set drawn from ``room``.  The sets are in
+    size order, so the walk takes the smallest sets first.  Both kernels
+    pass ``unhit`` masked to the family's first ``n`` indices, ``n`` being
+    the number of vertices: no more than ``n`` nonempty sets are disjoint,
+    and walking a large Omega bit by bit costs more than it cuts.
     """
     if unhit.bit_count() < need:
         return False
@@ -168,33 +227,37 @@ def _packs(sets: Sequence[int], unhit: int, need: int, room: int) -> bool:
     return False
 
 
-def _min_hitting_size(sets: Sequence[int], low: int = 0) -> int:
-    """Least size of a vertex set meeting every (nonempty) set in ``sets``.
+def _min_hitting_size(index: SetIndex, family: int, low: int = 0) -> int:
+    """Least size of a vertex set meeting every (nonempty) set of ``family``,
+    a mask of indices into ``index``.
 
     Branch and bound on the smallest unhit set, over a bitmask of unhit set
-    indices in size order.  The greedy most-frequent-vertex cover is the
-    first upper bound.  A branch is cut when ``count + ceil(#unhit /
-    widest)`` cannot beat it, ``widest`` being the most sets one vertex
-    meets, or else when ``count`` plus a packing of pairwise-disjoint unhit
-    sets cannot (``_packs``).  The packing runs in the search only when, at
-    the root, it beats the same counting bound taken over the sets it
-    looks at: on disjoint triangles, where it does not, it never cuts and
-    only costs time.  ``low`` is a known lower bound: the search stops once
-    a hitting set of that size is found.
+    indices.  The greedy most-frequent-vertex cover is the first upper
+    bound.  A branch is cut when ``count + ceil(#unhit / widest)`` cannot
+    beat it, ``widest`` being the most sets one vertex meets, or else when
+    ``count`` plus a packing of pairwise-disjoint unhit sets cannot
+    (``_packs``).  The packing runs in the search only when, at the root,
+    it beats the same counting bound taken over the sets it looks at: on
+    disjoint triangles, where it does not, it never cuts and only costs
+    time.  ``low`` is a known lower bound: the search stops once a hitting
+    set of that size is found.
     """
-    sets = sorted(sets, key=int.bit_count)
-    n = max(sets, default=0).bit_length()
-    hits = _incidence(sets, n)
-    widest = max((h.bit_count() for h in hits), default=1)
-    everything = (1 << len(sets)) - 1
+    sets, hits = index.sets, index.hits
+    n = len(hits)
     room = (1 << n) - 1
-    head = everything & room  # the n smallest sets
-    unhit = everything
+    head = _lowest(family, n)  # the n smallest sets
+    unhit = family
     best = 0
     while unhit:
-        pick = max(hits, key=lambda h: (h & unhit).bit_count())
-        if not pick & unhit:
+        pick, most = 0, 0
+        for h in hits:
+            count = (h & unhit).bit_count()
+            if count > most:
+                pick, most = h, count
+        if not most:
             raise ValueError("an empty set cannot be hit")
+        if unhit == family:
+            widest = most  # the most sets one vertex meets
         unhit &= ~pick
         best += 1
     if best <= low or _packs(sets, head, best, room):
@@ -219,27 +282,25 @@ def _min_hitting_size(sets: Sequence[int], low: int = 0) -> int:
                 return True
         return False
 
-    search(everything, 0)
+    search(family, 0)
     return best
 
 
-def _hitting_sets(sets: Sequence[int], k: int, below: int) -> Iterator[int]:
-    """Every k-subset of [0, below) meeting all ``sets``, in increasing bitmask order.
+def _hitting_sets(index: SetIndex, family: int, k: int) -> Iterator[int]:
+    """Every k-subset of the vertices meeting all sets of ``family``, a mask
+    of indices into ``index``, in increasing bitmask order.
 
     The highest element is chosen first, in ascending order, then the rest
     below it the same way.  A branch is cut as soon as some unhit set has
     no element left below the next choice, or when more unhit sets than
     elements still to choose are pairwise disjoint once cut down to the
     range still open (``_packs``).  Neither cut drops a k-subset that meets
-    every set, so the sequence is that of the plain sweep.  ``sets`` must
-    lie inside [0, below).
+    every set, so the sequence is that of the plain sweep.
     """
-    sets = sorted(sets, key=int.bit_count)
-    hits = _incidence(sets, below)
+    sets, hits = index.sets, index.hits
     # stranded[t] & unhit: the unhit sets with no element <= t.
     stranded = [~seen for seen in accumulate(hits, int.__or__)]
-    everything = (1 << len(sets)) - 1
-    head = everything & ((1 << below) - 1)
+    head = _lowest(family, len(hits))
 
     def extend(unhit: int, k: int, below: int, chosen: int) -> Iterator[int]:
         if k == 0:
@@ -252,7 +313,7 @@ def _hitting_sets(sets: Sequence[int], k: int, below: int) -> Iterator[int]:
             if not unhit & stranded[t]:
                 yield from extend(unhit & ~hits[t], k - 1, t, chosen | 1 << t)
 
-    return extend(everything, k, below, 0)
+    return extend(family, k, len(hits), 0)
 
 
 # ---------------------------------------------------------------------------
@@ -403,20 +464,33 @@ class InvariantCache:
     public solver functions below read a fresh one.
     """
 
-    # Hitting-set invariant -> the sets each of its feasible sets must meet.
+    # Hitting-set invariant -> the index and the mask of the sets each of
+    # its feasible sets must meet.  In both indexes family 0 is the closed
+    # neighbourhoods N[v] and family 1 the open ones N(v); family 2 of
+    # ``index`` is Omega.  gamma and gamma_t read the index without Omega,
+    # so they never wait for it.
     _CONSTRAINTS = {
-        "gamma": lambda c: c.closed,
-        "tau_i": lambda c: c.family.sets,
-        "gamma_it": lambda c: [*c.closed, *c.family.sets],
-        "gamma_t": lambda c: c.g.adj,
-        "gamma_tt": lambda c: [*c.g.adj, *c.family.sets],
+        "gamma": lambda c: (c.local_index, c.local_index.families[0]),
+        "tau_i": lambda c: (c.index, c.index.families[2]),
+        "gamma_it": lambda c: (c.index, c.index.families[0] | c.index.families[2]),
+        "gamma_t": lambda c: (c.local_index, c.local_index.families[1]),
+        "gamma_tt": lambda c: (c.index, c.index.families[1] | c.index.families[2]),
     }
 
     def __init__(self, g: Graph) -> None:
         self.g = g
 
     def _least(self, key: str, low: int = 0) -> int:
-        return _min_hitting_size(self._CONSTRAINTS[key](self), low)
+        return _min_hitting_size(*self._CONSTRAINTS[key](self), low)
+
+    @cached_property
+    def local_index(self) -> SetIndex:
+        return _index(self.g.n, self.closed, self.g.adj)
+
+    @cached_property
+    def index(self) -> SetIndex:
+        # Every set of Omega has alpha vertices.
+        return _with_block(self.local_index, self.family.sets)
 
     @cached_property
     def family(self) -> OmegaFamily:
@@ -474,8 +548,20 @@ class InvariantCache:
         return bipartition(self.g)
 
     @cached_property
+    def components(self) -> list[int]:
+        return components(self.g)
+
+    @cached_property
     def connected(self) -> bool:
-        return is_connected(self.g)
+        return len(self.components) == 1
+
+    @cached_property
+    def m(self) -> int:
+        return self.g.m
+
+    @cached_property
+    def complete(self) -> bool:
+        return self.m == self.g.n * (self.g.n - 1) // 2
 
     @cached_property
     def has_isolated(self) -> bool:
@@ -486,7 +572,7 @@ class InvariantCache:
         size = getattr(self, key)
         if size is None:
             return iter(())
-        return _hitting_sets(self._CONSTRAINTS[key](self), size, self.g.n)
+        return _hitting_sets(*self._CONSTRAINTS[key](self), size)
 
     def witnesses(self) -> dict[str, int | None]:
         """One optimal vertex mask per invariant: the least one by mask value

@@ -9,24 +9,19 @@ genuine counterexamples without failing.
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass
 from typing import Callable, Iterable, NamedTuple, Sequence
 
 from .graphs import (
     Graph,
     bipartition,
     complement,
-    components,
     induced_subgraph,
-    is_complete,
     iter_bits,
     members,
     parse_graph6,
     pendant_vertices,
 )
-from .invariants import InvariantCache, SolverLimitError, omega, tau_i
-
-CHECK_MAX_ORDER = 32
+from .invariants import CHECK_MAX_ORDER, InvariantCache, SolverLimitError, omega, tau_i
 
 
 class Status(enum.Enum):
@@ -41,8 +36,7 @@ class TheoremVerdict(NamedTuple):
     witness: dict
 
 
-@dataclass(frozen=True)
-class CharacterizationResult:
+class CharacterizationResult(NamedTuple):
     holds: bool
     witness: dict
 
@@ -51,8 +45,7 @@ class CharacterizationResult:
 CheckFn = Callable[[Graph, InvariantCache], tuple[bool | None, dict]]
 
 
-@dataclass(frozen=True)
-class Theorem:
+class Theorem(NamedTuple):
     theorem_id: str
     expected: str  # "proven" | "refutable"
     claim: str
@@ -161,14 +154,14 @@ def _t11(g: Graph, c: InvariantCache):
 
 
 def _t12(g: Graph, c: InvariantCache):
-    if not c.connected or is_complete(g) or 2 * c.alpha < g.n:
+    if not c.connected or c.complete or 2 * c.alpha < g.n:
         return None, {"reason": "needs connected, non-complete, alpha >= n/2"}
     # Bound is ceil(n/2): the floor reading fails on odd orders (already P3).
     return c.gamma_it <= (g.n + 1) // 2, {"gamma_it": c.gamma_it, "n": g.n}
 
 
 def _l21(g: Graph, c: InvariantCache):
-    if is_complete(g):
+    if c.complete:
         return None, {"reason": "complete graph"}
     # A triangle of the complement is three pairwise non-adjacent vertices.
     full = g.full_mask
@@ -214,7 +207,7 @@ def _t26(g: Graph, c: InvariantCache):
 
 
 def _tree(g: Graph, c: InvariantCache):
-    if not c.connected or g.m != g.n - 1:
+    if not c.connected or c.m != g.n - 1:
         return None, {"reason": "not a tree"}
     ok = c.gamma_it in (c.gamma, c.gamma + 1)
     return ok, {"gamma_it": c.gamma_it, "gamma": c.gamma}
@@ -285,7 +278,7 @@ def _component_shape(g: Graph, comp: int) -> str | None:
 def _t33(g: Graph, c: InvariantCache):
     if g.n % 2 or c.has_isolated:
         return None, {"reason": "needs even order without isolated vertices"}
-    shapes = [_component_shape(g, comp) for comp in components(g)]
+    shapes = [_component_shape(g, comp) for comp in c.components]
     structured = all(shape is not None for shape in shapes)
     half = c.gamma == g.n // 2
     ok = half == structured
@@ -301,7 +294,7 @@ def _c34(g: Graph, c: InvariantCache):
 def _t35(g: Graph, c: InvariantCache):
     if c.bip is None or g.n % 2:
         return None, {"reason": "needs bipartite of even order"}
-    if any(comp.bit_count() <= 2 for comp in components(g)):
+    if any(comp.bit_count() <= 2 for comp in c.components):
         return None, {"reason": "has a component of order at most 2"}
     half = g.n // 2
     case1 = c.gamma == half
@@ -337,7 +330,7 @@ def _gtt(g: Graph, c: InvariantCache):
 
 
 def _conj1(g: Graph, c: InvariantCache):
-    if not c.connected or is_complete(g):
+    if not c.connected or c.complete:
         return None, {"reason": "needs connected non-complete"}
     bound = (g.n + 1) // 2
     return c.gamma_it <= bound, {"gamma_it": c.gamma_it, "bound": bound, "n": g.n}

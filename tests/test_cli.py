@@ -17,7 +17,7 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from itdom import complement, encode_graph6, petersen
-from itdom import cli
+from itdom import catalog, cli
 from itdom.catalog import CATALOG_SHA256
 from itdom.cli import main
 from itdom.invariants import SolverLimitError
@@ -513,7 +513,7 @@ def test_generate_from_an_empty_cache_matches_a_warm_run(capsys, monkeypatch, tm
     # The file name has kept its form, so caches written earlier are still hits.
     (cached,) = _catalog_cache_files(tmp_path)
     assert cached.name == f"catalog-v1-n5-{hashlib.sha256(cold.encode()).hexdigest()}.g6"
-    monkeypatch.setattr(cli, "enumerate_graphs", None)  # a warm run generates nothing
+    monkeypatch.setattr(catalog, "enumerate_graphs", None)  # a warm run generates nothing
     code, warm, _ = run_cli(capsys, "generate", "--order", "5", "--all")
     assert code == 0
     assert lines(warm) == lines(cold)
@@ -713,7 +713,7 @@ def test_reused_verdict_texts_keep_true_apart_from_1(monkeypatch):
 
     def rendered(value):
         verdict = TheoremVerdict("EQ1", Status.HOLDS, {"w": value, "n": 2})
-        return cli._render_verdicts(entry(verdict), ["A_"], "json")[0]
+        return cli._render_verdicts(entry(verdict), ["A_"], "json", frozenset())[0]
 
     def dumped(value):
         return _dumped(entry({"theorem": "EQ1", "status": "Holds", "witness": {"w": value, "n": 2}}))
@@ -764,3 +764,102 @@ def test_every_package_module_is_reachable_from_the_cli():
         reachable |= frontier
         frontier = set().union(*(imports.get(m, set()) for m in frontier)) - reachable
     assert set(imports) - reachable - {"__init__", "__main__"} == set()
+
+
+def test_invariants_imports_only_what_it_runs(tmp_path):
+    # ``invariants`` runs no check and reads no catalog, so it should not
+    # pay for importing them, nor for modules only other paths use.
+    corpus = tmp_path / "one.g6"
+    corpus.write_text("@\n")
+    code = textwrap.dedent(f"""
+        import runpy, sys
+        before = set(sys.modules)
+        sys.argv = ["itdom", "invariants", "--corpus", {str(corpus)!r}, "--jobs", "1"]
+        try:
+            runpy.run_module("itdom", run_name="__main__", alter_sys=True)
+        except SystemExit as exc:
+            assert exc.code == 0, exc.code
+        print(" ".join(sorted(set(sys.modules) - before)), file=sys.stderr)
+    """)
+    env = {**os.environ, "PYTHONPATH": str(ROOT / "src")}
+    run = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env, check=True)
+    loaded = set(run.stderr.splitlines()[-1].split())
+    assert {"itdom.cli", "itdom.graphs", "itdom.invariants"} <= loaded
+    unwanted = {"itdom.theorems", "itdom.catalog", "dataclasses", "hashlib", "csv", "traceback"}
+    assert loaded & unwanted == set()
+    assert json.loads(run.stdout)["summary"] == {"graphs": 1}
+
+
+def test_cli_names_match_their_sources():
+    # The parser and the summaries spell these out, so that commands that
+    # do not run ``catalog`` or ``theorems`` need not import them.
+    from itdom.catalog import CATALOG_MAX_ORDER
+    from itdom.theorems import SEARCH_MODES
+
+    assert cli.CATALOG_MAX_ORDER == CATALOG_MAX_ORDER
+    assert cli.SEARCH_MODES == SEARCH_MODES
+    assert cli.TALLY_KEYS == (*(status.value for status in Status), "proven_violations")
+
+
+# SHA-256 of ``itdom [COMMAND] --help`` at 80 columns, as the parser printed
+# it when it read these values from ``catalog`` and ``theorems``.
+HELP_SHA256 = {
+    "": "4d76f74357bed42d2dd1ef1eef4683b44dc2ae9f3453c09552c404a8970b06ca",
+    "invariants": "8698844b4d1b60055345667c6f9f9272438ddaca2fb7e17b4e9dd5554ec20af8",
+    "verify": "fec8c5506750d4e0031249d146d9cb89be48f7af34120465f410656e2a2f09ef",
+    "generate": "59b1fe80dd5d92fbf3ca170dda7f1341ac03f1d6f2145ab319ff5f1895ab9fa5",
+    "counterexamples": "ccb1fe5c252292d1590a92d607cca86b13e108fcb2658b6a5bedc22493a10ba5",
+    "search": "5bd78de2c84ef0370a8ffc51b511640e7a1041be89f5734833fd5f91bf75b49a",
+}
+
+
+@pytest.mark.skipif(sys.version_info[:2] != (3, 11), reason="argparse lays out help differently by version")
+@pytest.mark.parametrize("command", sorted(HELP_SHA256))
+def test_help_text_is_unchanged(capsys, monkeypatch, command):
+    monkeypatch.setenv("COLUMNS", "80")
+    with pytest.raises(SystemExit) as exc:
+        main([*command.split(), "--help"])
+    assert exc.value.code == 0
+    out = capsys.readouterr().out
+    assert hashlib.sha256(out.encode()).hexdigest() == HELP_SHA256[command], out
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("invariants", "--corpus", "CORPUS", "--format", "csv"),
+        ("verify", "--corpus", "CORPUS", "--theorems", "all"),
+    ],
+)
+def test_spawned_workers_give_the_same_report(capsys, monkeypatch, tmp_path, argv):
+    # A spawned worker starts from a fresh interpreter, so each task must
+    # bring what it calls rather than rely on modules a fork would copy.
+    import concurrent.futures
+    import multiprocessing
+
+    corpus = tmp_path / "corpus.g6"
+    corpus.write_text("Cl\nC~\nA_\n@\nDhc\n")
+    argv = [str(corpus) if arg == "CORPUS" else arg for arg in argv]
+    serial = run_cli(capsys, *argv, "--jobs", "1")
+    pool = concurrent.futures.ProcessPoolExecutor
+    spawn = multiprocessing.get_context("spawn")
+    monkeypatch.setattr(
+        "concurrent.futures.ProcessPoolExecutor",
+        lambda max_workers: pool(max_workers, mp_context=spawn),
+    )
+    assert run_cli(capsys, *argv, "--jobs", "2")[:2] == serial[:2]
+
+
+def test_every_package_export_resolves():
+    import itdom
+
+    for name in itdom.__all__:
+        assert getattr(itdom, name) is not None, name
+    assert set(itdom.__all__) <= set(dir(itdom))
+    namespace = {}
+    exec("from itdom import *", namespace)
+    assert set(itdom.__all__) <= set(namespace)
+    assert namespace["compute_report"] is __import__("itdom.invariants").invariants.compute_report
+    with pytest.raises(AttributeError):
+        itdom.no_such_name
+

@@ -7,6 +7,7 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from itdom import Graph, Graph6Error, complete, encode_graph6, parse_graph6
+from itdom.graphs import graph6_column
 
 from helpers import random_graph, reference_parse_graph6
 
@@ -77,6 +78,15 @@ def test_encode_rejects_large_orders():
 def test_parse_errors_are_distinct(text, match):
     with pytest.raises(Graph6Error, match=match):
         parse_graph6(text)
+
+
+def test_column_is_the_low_bits_reversed():
+    # Bits of the row at j and above are not part of column j.
+    rng = random.Random(6)
+    for j in ORDERS:
+        for row in (0, (1 << 64) - 1, rng.getrandbits(64), rng.getrandbits(64)):
+            expected = int(format(row & ((1 << j) - 1), f"0{j}b")[::-1], 2) if j else 0
+            assert graph6_column(row, j) == expected, (row, j)
 
 
 def test_roundtrip_random_graphs():
