@@ -32,13 +32,7 @@ from typing import TYPE_CHECKING
 
 from . import __version__
 from .graphs import complement, encode_graph6, members, parse_edge_list, parse_graph6, petersen
-from .invariants import (
-    CHECK_MAX_ORDER,
-    InvariantCache,
-    InvariantReport,
-    SolverLimitError,
-    compute_report,
-)
+from .invariants import CHECK_MAX_ORDER, InvariantCache, SolverLimitError, compute_report
 
 if TYPE_CHECKING:
     from .theorems import TheoremVerdict
@@ -231,22 +225,16 @@ def _render(entry: dict, rows: Rows, fmt: str) -> str | Rows:
 INVARIANT_KEYS = ("alpha", "beta", "matching", "gamma", "tau_i", "xi", "gamma_it", "gamma_t", "gamma_tt")
 
 
-def _report_to_json(report: InvariantReport) -> tuple[dict, dict]:
-    mask_or_none = lambda m: None if m is None else members(m)  # noqa: E731
-    values = {key: getattr(report, key) for key in INVARIANT_KEYS}
-    return values, {key: mask_or_none(m) for key, m in report.witnesses.items()}
-
-
 def _invariants_task(g6: str, fmt: str) -> tuple[str | Rows, Tally]:
     g = parse_graph6(g6)
     report = compute_report(g)
-    values, witnesses = _report_to_json(report)
+    values = {key: getattr(report, key) for key in INVARIANT_KEYS}
     entry = {
         "graph6": g6,
         "n": g.n,
         "invariants": values,
         "core": members(report.core),
-        "witnesses": witnesses,
+        "witnesses": {key: None if m is None else members(m) for key, m in report.witnesses.items()},
     }
     return _render(entry, [[g6, g.n, *values.values()]], fmt), ()
 
@@ -450,13 +438,12 @@ def _cmd_counterexamples(args: argparse.Namespace, command: str) -> int:
     entries = []
     for name, g, ids in named:
         cache = InvariantCache(g)
-        values, _ = _report_to_json(cache.report())
         entries.append(
             {
                 "name": name,
                 "graph6": encode_graph6(g),
                 "n": g.n,
-                "invariants": values,
+                "invariants": {key: getattr(cache, key) for key in INVARIANT_KEYS},
                 "verdicts": check_many(ids, g, cache),
             }
         )

@@ -461,7 +461,8 @@ class InvariantCache:
 
     This is the only place an invariant value is computed: the theorem
     checks share one instance per graph, and ``compute_report`` and the
-    public solver functions below read a fresh one.
+    public solver functions below read a fresh one.  The order-0 graph has
+    no invariants and is refused.
     """
 
     # Hitting-set invariant -> the index and the mask of the sets each of
@@ -478,6 +479,7 @@ class InvariantCache:
     }
 
     def __init__(self, g: Graph) -> None:
+        _require_vertices(g)
         self.g = g
 
     def _least(self, key: str, low: int = 0) -> int:
@@ -485,7 +487,8 @@ class InvariantCache:
 
     @cached_property
     def local_index(self) -> SetIndex:
-        return _index(self.g.n, self.closed, self.g.adj)
+        closed = [self.g.closed(v) for v in range(self.g.n)]
+        return _index(self.g.n, closed, self.g.adj)
 
     @cached_property
     def index(self) -> SetIndex:
@@ -507,10 +510,6 @@ class InvariantCache:
     @cached_property
     def matching(self) -> int:
         return matching_number(self.g)
-
-    @cached_property
-    def closed(self) -> list[int]:
-        return [self.g.closed(v) for v in range(self.g.n)]
 
     @cached_property
     def gamma(self) -> int:
@@ -606,12 +605,6 @@ class InvariantCache:
         )
 
 
-def _evaluator(g: Graph) -> InvariantCache:
-    """A fresh evaluator; the order-0 graph has no invariants and is rejected."""
-    _require_vertices(g)
-    return InvariantCache(g)
-
-
 # ---------------------------------------------------------------------------
 # Public solver functions
 # ---------------------------------------------------------------------------
@@ -619,12 +612,12 @@ def _evaluator(g: Graph) -> InvariantCache:
 
 def domination_number(g: Graph) -> int:
     """Minimum dominating set size."""
-    return _evaluator(g).gamma
+    return InvariantCache(g).gamma
 
 
 def tau_i(g: Graph) -> int:
     """Minimum size of a set meeting every maximum independent set."""
-    return _evaluator(g).tau_i
+    return InvariantCache(g).tau_i
 
 
 def gamma_it(g: Graph) -> tuple[int, int]:
@@ -633,21 +626,21 @@ def gamma_it(g: Graph) -> tuple[int, int]:
     Returns (value, witness); the witness is the least optimum by bitmask
     value.
     """
-    cache = _evaluator(g)
+    cache = InvariantCache(g)
     return cache.gamma_it, next(cache.optima("gamma_it"))
 
 
 def gamma_t(g: Graph) -> int | None:
     """Minimum total dominating set size; None when an isolated vertex exists."""
-    return _evaluator(g).gamma_t
+    return InvariantCache(g).gamma_t
 
 
 def gamma_tt(g: Graph) -> int | None:
     """Minimum total dominating set meeting every maximum independent set;
     None when an isolated vertex exists."""
-    return _evaluator(g).gamma_tt
+    return InvariantCache(g).gamma_tt
 
 
 def compute_report(g: Graph) -> InvariantReport:
     """Compute every invariant and a deterministic witness for each."""
-    return _evaluator(g).report()
+    return InvariantCache(g).report()

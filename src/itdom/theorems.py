@@ -1,9 +1,10 @@
 """Machine-checkable verdicts for the verified inequalities and characterizations.
 
-Each registry entry evaluates its hypotheses on a graph and then the claim,
-yielding NotApplicable, Holds or Violated.  Entries marked ``proven`` must
-never be Violated; ``refutable`` entries exist so the harness can report
-genuine counterexamples without failing.
+Each registry entry is declared at its check, in definition order.  The
+check evaluates its hypotheses on a graph and then the claim, yielding
+NotApplicable, Holds or Violated.  Entries marked ``proven`` must never be
+Violated; ``refutable`` entries exist so the harness can report genuine
+counterexamples without failing.
 """
 
 from __future__ import annotations
@@ -116,43 +117,66 @@ def figure1_graph() -> Graph:
 # Registry checks
 # ---------------------------------------------------------------------------
 
+# Registry entries by id, in the order their checks are defined below.
+THEOREMS: dict[str, Theorem] = {}
 
+
+def _theorem(theorem_id: str, expected: str, claim: str) -> Callable[[CheckFn], CheckFn]:
+    """Register the decorated check as the entry ``theorem_id``."""
+
+    def register(fn: CheckFn) -> CheckFn:
+        if theorem_id in THEOREMS:
+            raise ValueError(f"theorem id {theorem_id!r} is already registered")
+        THEOREMS[theorem_id] = Theorem(theorem_id, expected, claim, fn)
+        return fn
+
+    return register
+
+
+@_theorem("EQ1", "proven", "alpha + beta = n")
 def _eq1(g: Graph, c: InvariantCache):
     return c.alpha + c.beta == g.n, {"alpha": c.alpha, "beta": c.beta, "n": g.n}
 
 
+@_theorem("EQ2", "proven", "matching <= min(n/2, beta)")
 def _eq2(g: Graph, c: InvariantCache):
     ok = 2 * c.matching <= g.n and c.matching <= c.beta
     return ok, {"matching": c.matching, "beta": c.beta, "n": g.n}
 
 
+@_theorem("EQ3", "proven", "bipartite: matching = beta")
 def _eq3(g: Graph, c: InvariantCache):
     if c.bip is None:
         return None, {"reason": "not bipartite"}
     return c.matching == c.beta, {"matching": c.matching, "beta": c.beta}
 
 
+@_theorem("EQ4", "proven", "gamma <= alpha")
 def _eq4(g: Graph, c: InvariantCache):
     return c.gamma <= c.alpha, {"gamma": c.gamma, "alpha": c.alpha}
 
 
+@_theorem("EQ5", "proven", "no isolated vertices: gamma <= beta")
 def _eq5(g: Graph, c: InvariantCache):
     if c.has_isolated:
         return None, {"reason": "isolated vertex"}
     return c.gamma <= c.beta, {"gamma": c.gamma, "beta": c.beta}
 
 
+@_theorem("EQ6", "proven", "max(gamma, tau_i) <= gamma_it")
 def _eq6(g: Graph, c: InvariantCache):
     ok = max(c.gamma, c.tau_i) <= c.gamma_it
     return ok, {"gamma": c.gamma, "tau_i": c.tau_i, "gamma_it": c.gamma_it}
 
 
+@_theorem("T1.1", "proven", "no isolated vertices: gamma_it <= beta + 1")
 def _t11(g: Graph, c: InvariantCache):
     if c.has_isolated:
         return None, {"reason": "isolated vertex"}
     return c.gamma_it <= c.beta + 1, {"gamma_it": c.gamma_it, "beta": c.beta}
 
 
+@_theorem("T1.2", "proven", "connected non-complete with alpha >= n/2: gamma_it <= ceil(n/2)")
 def _t12(g: Graph, c: InvariantCache):
     if not c.connected or c.complete or 2 * c.alpha < g.n:
         return None, {"reason": "needs connected, non-complete, alpha >= n/2"}
@@ -160,6 +184,12 @@ def _t12(g: Graph, c: InvariantCache):
     return c.gamma_it <= (g.n + 1) // 2, {"gamma_it": c.gamma_it, "n": g.n}
 
 
+@_theorem(
+    "L2.1",
+    "proven",
+    "complement of triangle-free, non-complete: tau_i equals the "
+    "complement cover number and bounds gamma_it below",
+)
 def _l21(g: Graph, c: InvariantCache):
     if c.complete:
         return None, {"reason": "complete graph"}
@@ -178,6 +208,11 @@ def _l21(g: Graph, c: InvariantCache):
     }
 
 
+@_theorem(
+    "T2.4",
+    "proven",
+    "connected with at least one edge and alpha > matching: xi >= alpha - matching + 1",
+)
 def _t24(g: Graph, c: InvariantCache):
     # The single-vertex graph meets the literal hypotheses yet has xi = 1 < 2;
     # the result's implicit domain is graphs with at least one edge.
@@ -187,18 +222,21 @@ def _t24(g: Graph, c: InvariantCache):
     return ok, {"xi": c.xi, "alpha": c.alpha, "matching": c.matching}
 
 
+@_theorem("C2.4a", "proven", "connected with alpha > matching: tau_i = 1")
 def _c24a(g: Graph, c: InvariantCache):
     if not c.connected or c.alpha <= c.matching:
         return None, {"reason": "needs connected with alpha > matching"}
     return c.tau_i == 1, {"tau_i": c.tau_i}
 
 
+@_theorem("T2.5", "proven", "bipartite, unequal sides: gamma_it <= gamma + 1")
 def _t25(g: Graph, c: InvariantCache):
     if c.bip is None or c.bip.x.bit_count() == c.bip.y.bit_count():
         return None, {"reason": "needs bipartite with unequal sides"}
     return c.gamma_it <= c.gamma + 1, {"gamma_it": c.gamma_it, "gamma": c.gamma}
 
 
+@_theorem("T2.6", "proven", "connected bipartite: gamma_it in {gamma, gamma+1}")
 def _t26(g: Graph, c: InvariantCache):
     if not c.connected or c.bip is None:
         return None, {"reason": "needs connected bipartite"}
@@ -206,6 +244,7 @@ def _t26(g: Graph, c: InvariantCache):
     return ok, {"gamma_it": c.gamma_it, "gamma": c.gamma}
 
 
+@_theorem("TREE", "proven", "tree: gamma_it in {gamma, gamma+1}")
 def _tree(g: Graph, c: InvariantCache):
     if not c.connected or c.m != g.n - 1:
         return None, {"reason": "not a tree"}
@@ -213,6 +252,7 @@ def _tree(g: Graph, c: InvariantCache):
     return ok, {"gamma_it": c.gamma_it, "gamma": c.gamma}
 
 
+@_theorem("SAND", "proven", "connected: gamma <= gamma_it <= gamma + delta")
 def _sand(g: Graph, c: InvariantCache):
     if not c.connected:
         return None, {"reason": "not connected"}
@@ -249,6 +289,12 @@ def _side_check(c: InvariantCache, condition):
     return True, {"gamma": c.gamma, "gamma_it": c.gamma_it}
 
 
+@_theorem(
+    "T3.2",
+    "proven",
+    "bipartite, gamma = |X| <= |Y|: gamma_it = gamma+1 iff every x in X "
+    "is pendant or has two pendant neighbors",
+)
 def _t32(g: Graph, c: InvariantCache):
     def condition(x: int):
         cond = pendant_condition(g, x)
@@ -257,6 +303,12 @@ def _t32(g: Graph, c: InvariantCache):
     return _side_check(c, condition)
 
 
+@_theorem(
+    "T3.1-ORIG",
+    "refutable",
+    "bipartite, gamma = |X| <= |Y|: gamma_it = gamma+1 iff every x in X "
+    "has two pendant neighbors",
+)
 def _t31_orig(g: Graph, c: InvariantCache):
     def condition(x: int):
         holds = _strict_pendant_condition(g, x)
@@ -275,6 +327,12 @@ def _component_shape(g: Graph, comp: int) -> str | None:
     return None
 
 
+@_theorem(
+    "T3.3",
+    "proven",
+    "even order, no isolated vertices: gamma = n/2 iff every component "
+    "is a 4-cycle or a pendant corona",
+)
 def _t33(g: Graph, c: InvariantCache):
     if g.n % 2 or c.has_isolated:
         return None, {"reason": "needs even order without isolated vertices"}
@@ -285,12 +343,18 @@ def _t33(g: Graph, c: InvariantCache):
     return ok, {"gamma": c.gamma, "n": g.n, "components": shapes}
 
 
+@_theorem("C3.4", "proven", "connected, even n >= 4, gamma = n/2: gamma_it = n/2")
 def _c34(g: Graph, c: InvariantCache):
     if not c.connected or g.n < 4 or g.n % 2 or c.gamma != g.n // 2:
         return None, {"reason": "needs connected even order >= 4 with gamma = n/2"}
     return c.gamma_it == g.n // 2, {"gamma_it": c.gamma_it, "n": g.n}
 
 
+@_theorem(
+    "T3.5",
+    "proven",
+    "bipartite, even order, components >= 3, case hypotheses: gamma_it = n/2",
+)
 def _t35(g: Graph, c: InvariantCache):
     if c.bip is None or g.n % 2:
         return None, {"reason": "needs bipartite of even order"}
@@ -313,6 +377,7 @@ def _t35(g: Graph, c: InvariantCache):
     }
 
 
+@_theorem("T4.1", "proven", "connected, n >= 3: gamma_t <= 2n/3")
 def _t41(g: Graph, c: InvariantCache):
     if not c.connected or g.n < 3:
         return None, {"reason": "needs connected order >= 3"}
@@ -321,6 +386,7 @@ def _t41(g: Graph, c: InvariantCache):
     return 3 * c.gamma_t <= 2 * g.n, {"gamma_t": c.gamma_t, "n": g.n}
 
 
+@_theorem("GTT", "proven", "no isolated vertices: gamma_tt >= gamma_it")
 def _gtt(g: Graph, c: InvariantCache):
     if c.has_isolated:
         return None, {"reason": "isolated vertex"}
@@ -329,6 +395,7 @@ def _gtt(g: Graph, c: InvariantCache):
     return c.gamma_tt >= c.gamma_it, {"gamma_tt": c.gamma_tt, "gamma_it": c.gamma_it}
 
 
+@_theorem("CONJ1", "refutable", "connected non-complete: gamma_it <= ceil(n/2)")
 def _conj1(g: Graph, c: InvariantCache):
     if not c.connected or c.complete:
         return None, {"reason": "needs connected non-complete"}
@@ -336,84 +403,8 @@ def _conj1(g: Graph, c: InvariantCache):
     return c.gamma_it <= bound, {"gamma_it": c.gamma_it, "bound": bound, "n": g.n}
 
 
-_REGISTRY = (
-    Theorem("EQ1", "proven", "alpha + beta = n", _eq1),
-    Theorem("EQ2", "proven", "matching <= min(n/2, beta)", _eq2),
-    Theorem("EQ3", "proven", "bipartite: matching = beta", _eq3),
-    Theorem("EQ4", "proven", "gamma <= alpha", _eq4),
-    Theorem("EQ5", "proven", "no isolated vertices: gamma <= beta", _eq5),
-    Theorem("EQ6", "proven", "max(gamma, tau_i) <= gamma_it", _eq6),
-    Theorem("T1.1", "proven", "no isolated vertices: gamma_it <= beta + 1", _t11),
-    Theorem(
-        "T1.2",
-        "proven",
-        "connected non-complete with alpha >= n/2: gamma_it <= ceil(n/2)",
-        _t12,
-    ),
-    Theorem(
-        "L2.1",
-        "proven",
-        "complement of triangle-free, non-complete: tau_i equals the "
-        "complement cover number and bounds gamma_it below",
-        _l21,
-    ),
-    Theorem(
-        "T2.4",
-        "proven",
-        "connected with at least one edge and alpha > matching: xi >= alpha - matching + 1",
-        _t24,
-    ),
-    Theorem("C2.4a", "proven", "connected with alpha > matching: tau_i = 1", _c24a),
-    Theorem("T2.5", "proven", "bipartite, unequal sides: gamma_it <= gamma + 1", _t25),
-    Theorem("T2.6", "proven", "connected bipartite: gamma_it in {gamma, gamma+1}", _t26),
-    Theorem("TREE", "proven", "tree: gamma_it in {gamma, gamma+1}", _tree),
-    Theorem("SAND", "proven", "connected: gamma <= gamma_it <= gamma + delta", _sand),
-    Theorem(
-        "T3.2",
-        "proven",
-        "bipartite, gamma = |X| <= |Y|: gamma_it = gamma+1 iff every x in X "
-        "is pendant or has two pendant neighbors",
-        _t32,
-    ),
-    Theorem(
-        "T3.1-ORIG",
-        "refutable",
-        "bipartite, gamma = |X| <= |Y|: gamma_it = gamma+1 iff every x in X "
-        "has two pendant neighbors",
-        _t31_orig,
-    ),
-    Theorem(
-        "T3.3",
-        "proven",
-        "even order, no isolated vertices: gamma = n/2 iff every component "
-        "is a 4-cycle or a pendant corona",
-        _t33,
-    ),
-    Theorem(
-        "C3.4",
-        "proven",
-        "connected, even n >= 4, gamma = n/2: gamma_it = n/2",
-        _c34,
-    ),
-    Theorem(
-        "T3.5",
-        "proven",
-        "bipartite, even order, components >= 3, case hypotheses: gamma_it = n/2",
-        _t35,
-    ),
-    Theorem("T4.1", "proven", "connected, n >= 3: gamma_t <= 2n/3", _t41),
-    Theorem("GTT", "proven", "no isolated vertices: gamma_tt >= gamma_it", _gtt),
-    Theorem(
-        "CONJ1",
-        "refutable",
-        "connected non-complete: gamma_it <= ceil(n/2)",
-        _conj1,
-    ),
-)
-
-THEOREMS: dict[str, Theorem] = {t.theorem_id: t for t in _REGISTRY}
-PROVEN_IDS = tuple(t.theorem_id for t in _REGISTRY if t.expected == "proven")
-REFUTABLE_IDS = tuple(t.theorem_id for t in _REGISTRY if t.expected == "refutable")
+PROVEN_IDS = tuple(tid for tid, t in THEOREMS.items() if t.expected == "proven")
+REFUTABLE_IDS = tuple(tid for tid, t in THEOREMS.items() if t.expected == "refutable")
 
 
 def check_many(

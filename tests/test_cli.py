@@ -665,6 +665,33 @@ def test_search_report_bytes(capsys, mode, order, fmt):
     assert hashlib.sha256(out.encode()).hexdigest() == SEARCH_SHA256[mode, order, fmt]
 
 
+# SHA-256 of the counterexamples and fixture invariants reports of version
+# 0.1.0, with --jobs 1.  The command echo holds the corpus path, so each
+# corpus is read from the working directory under a fixed name;
+# ``corpus.g6`` is the fixture without its order-0 line.
+FIXTURE_REPORT_SHA256 = {
+    ("counterexamples", "json"): "d7cfa1e99b16985e9eba14f812159f88df6e2d7abf1624c5eb579912771faf98",
+    ("counterexamples", "csv"): "020e2c125cff5b64e1023cabbfb596eb4032afdae9ec2d4e55226c0f5b8fd88f",
+    ("corpus.g6", "json"): "b7f0d98f4af6b0753c13bcaefc1684a8ab4a04c647bbab41e6a406dd5819cb44",
+    ("corpus.g6", "csv"): "2a16a3364302735bf1ae6f4ddb5dc97266c2aea6d1ae99430e14817691a9268e",
+    ("figure1.edges", "json"): "ff609270903dbe037832eacb6c5dd4f5aeeca9a9498165ea5fe2cbbf53881b3e",
+    ("figure1.edges", "csv"): "2d90b5fd5f5f689d75bb1743e37d53725e9d4f5923e943de4a7d7b9d4ed410c9",
+}
+
+
+@pytest.mark.parametrize(("source", "fmt"), sorted(FIXTURE_REPORT_SHA256))
+def test_fixture_report_bytes(capsys, monkeypatch, tmp_path, source, fmt):
+    graphs = [ln for ln in (FIXTURES / "corpus.g6").read_text().splitlines() if ln != "?"]
+    (tmp_path / "corpus.g6").write_text("\n".join(graphs) + "\n")
+    (tmp_path / "figure1.edges").write_text((FIXTURES / "figure1.edges").read_text())
+    monkeypatch.chdir(tmp_path)
+    command = ("counterexamples",) if source == "counterexamples" else ("invariants", "--corpus", source)
+    fmt_flag = ("--format", "csv") if fmt == "csv" else ()
+    code, out, _ = run_cli(capsys, *command, *fmt_flag, "--jobs", "1")
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == FIXTURE_REPORT_SHA256[source, fmt]
+
+
 def _dumped(value):
     """``value`` as json.dumps writes it, every line four spaces further in."""
     return "    " + json.dumps(value, indent=2, sort_keys=True).replace("\n", "\n    ")

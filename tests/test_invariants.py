@@ -230,7 +230,7 @@ def test_total_domination_values():
 
 
 @pytest.mark.parametrize(
-    "solver", [domination_number, tau_i, gamma_it, gamma_t, gamma_tt, compute_report]
+    "solver", [InvariantCache, domination_number, tau_i, gamma_it, gamma_t, gamma_tt, compute_report]
 )
 def test_order_0_graph_has_no_invariants(solver):
     with pytest.raises(ValueError, match="undefined for the order-0 graph"):

@@ -44,7 +44,7 @@ from itdom import (
     tau_i,
 )
 from itdom.invariants import SolverLimitError
-from itdom.theorems import CHECK_MAX_ORDER, InvariantCache, _component_shape
+from itdom.theorems import CHECK_MAX_ORDER, InvariantCache, _component_shape, _theorem
 
 from helpers import canonical_graph6, is_c4, random_graph
 from oracle import naive_oracle
@@ -54,6 +54,13 @@ def test_registry_shape():
     assert set(REFUTABLE_IDS) == {"T3.1-ORIG", "CONJ1"}
     assert "T2.6" in PROVEN_IDS and "EQ6" in PROVEN_IDS
     assert len(THEOREMS) == len(PROVEN_IDS) + len(REFUTABLE_IDS)
+
+
+def test_registering_a_repeated_id_raises():
+    before = dict(THEOREMS)
+    with pytest.raises(ValueError, match="'EQ1' is already registered"):
+        _theorem("EQ1", "proven", "a second EQ1")(lambda g, c: (True, {}))
+    assert THEOREMS == before
 
 
 def test_check_unknown_id_and_order_guard():
