@@ -28,9 +28,9 @@ _EXPORTS = {
             "tau_i",
         ),
         "theorems": (
-            "CharacterizationResult", "PROVEN_IDS", "REFUTABLE_IDS", "SEARCH_MODES",
-            "Status", "THEOREMS", "TheoremVerdict", "check", "check_many",
-            "figure1_graph", "is_corona", "pendant_condition", "search_extremal",
+            "CharacterizationResult", "PROVEN_IDS", "REFUTABLE_IDS", "Status",
+            "THEOREMS", "TheoremVerdict", "check", "check_many", "figure1_graph",
+            "is_corona", "pendant_condition",
         ),
     }.items()
     for name in (module, *names)

@@ -11,8 +11,8 @@ The catalog of all graphs of each order is cached on disk as the text
 ``generate --all`` prints, in a file named by its pinned SHA-256.
 
 Each command imports only what it runs: ``invariants`` loads ``graphs`` and
-``invariants`` alone, ``theorems`` is imported by the commands that check or
-search, and ``catalog`` by those that read a catalog.  A worker receives
+``invariants`` alone, ``theorems`` is imported by the commands that check,
+and ``catalog`` by those that read a catalog.  A worker receives
 what it calls with its task, so it imports the same modules whatever the
 start method of the pool.
 """
@@ -45,15 +45,11 @@ EXIT_INTERNAL = 4
 EXIT_BROKEN_PIPE = 141  # 128 + SIGPIPE, as a shell reports a reader that left
 
 
-# What the parser and the summaries name from ``catalog`` and ``theorems``,
-# spelled out so that a command that does not run those modules does not
-# import them; tests hold each to its source.
-CATALOG_MAX_ORDER = 8  # catalog.CATALOG_MAX_ORDER
-SEARCH_MODES = ("max_tau_i", "bipartite_half_gammait")  # theorems.SEARCH_MODES
-# The summary keys an entry's verdicts are counted into: one per value of
-# theorems.Status, then the violations of proven entries.
-TALLY_KEYS = ("NotApplicable", "Holds", "Violated", "proven_violations")
-Tally = tuple[int, ...]  # counts in TALLY_KEYS order; empty for entries without verdicts
+# catalog.CATALOG_MAX_ORDER, spelled out so that the parser does not import
+# ``catalog``; a test holds it to its source.
+CATALOG_MAX_ORDER = 8
+SEARCH_MODES = ("max_tau_i", "bipartite_half_gammait")
+Counts = dict[str, int]  # summary key -> what one entry adds to it
 Rows = list[list]  # CSV rows
 
 
@@ -225,7 +221,7 @@ def _render(entry: dict, rows: Rows, fmt: str) -> str | Rows:
 INVARIANT_KEYS = ("alpha", "beta", "matching", "gamma", "tau_i", "xi", "gamma_it", "gamma_t", "gamma_tt")
 
 
-def _invariants_task(g6: str, fmt: str) -> tuple[str | Rows, Tally]:
+def _invariants_task(g6: str, fmt: str) -> tuple[str | Rows, Counts]:
     g = parse_graph6(g6)
     report = compute_report(g)
     values = {key: getattr(report, key) for key in INVARIANT_KEYS}
@@ -236,7 +232,7 @@ def _invariants_task(g6: str, fmt: str) -> tuple[str | Rows, Tally]:
         "core": members(report.core),
         "witnesses": {key: None if m is None else members(m) for key, m in report.witnesses.items()},
     }
-    return _render(entry, [[g6, g.n, *values.values()]], fmt), ()
+    return _render(entry, [[g6, g.n, *values.values()]], fmt), {}
 
 
 # The rendered text of each verdict, keyed by theorem, status value and the
@@ -265,30 +261,57 @@ def _verdict_text(verdict: TheoremVerdict) -> _Encoded:
     return text
 
 
-def _render_verdicts(entry: dict, key: list, fmt: str, proven: frozenset[str]) -> tuple[str | Rows, Tally]:
+def _verdict_summary() -> Counts:
+    """Zero counts of each ``theorems.Status`` value and of proven violations."""
+    from .theorems import Status
+
+    return dict.fromkeys([*(status.value for status in Status), "proven_violations"], 0)
+
+
+def _render_verdicts(entry: dict, key: list, fmt: str, proven: frozenset[str]) -> tuple[str | Rows, Counts]:
     """An entry whose ``verdicts`` are ``TheoremVerdict`` tuples, rendered
     with one CSV row per verdict (``key`` then theorem and status), and the
-    tally of its verdicts for the summary; a violation counts as proven
-    when ``proven`` names its theorem."""
+    count of its verdicts by status value and of its proven violations for
+    the summary; a violation counts as proven when ``proven`` names its
+    theorem."""
     verdicts = entry["verdicts"]
     values = [status._value_ for _, status, _ in verdicts]
-    proven_violations = sum(
+    counts = {value: values.count(value) for value in set(values)}
+    counts["proven_violations"] = sum(
         1 for (tid, _, _), value in zip(verdicts, values) if value == "Violated" and tid in proven
     )
-    tally = (*map(values.count, TALLY_KEYS[:-1]), proven_violations)
     if fmt == "csv":
-        return [[*key, tid, value] for (tid, _, _), value in zip(verdicts, values)], tally
-    return _render(dict(entry, verdicts=[_verdict_text(v) for v in verdicts]), [], fmt), tally
+        return [[*key, tid, value] for (tid, _, _), value in zip(verdicts, values)], counts
+    return _render(dict(entry, verdicts=[_verdict_text(v) for v in verdicts]), [], fmt), counts
 
 
 def _verify_task(
     g6: str, check: Callable, proven: frozenset[str], fmt: str
-) -> tuple[str | Rows, Tally]:
+) -> tuple[str | Rows, Counts]:
     """The verdicts of ``check`` (``check_many`` bound to the theorem ids)
     on one graph, rendered.  A worker imports ``theorems`` when it unpickles
     ``check``."""
     g = parse_graph6(g6)
     return _render_verdicts({"graph6": g6, "n": g.n, "verdicts": check(g)}, [g6], fmt, proven)
+
+
+def _search_task(g6: str, mode: str) -> dict[str, int] | None:
+    """What ``search`` finds on one catalog graph, from one evaluator.
+
+    In mode max_tau_i, its ``tau_i``.  In mode bipartite_half_gammait, its
+    ``gamma`` and ``gamma_it`` if it is bipartite of even order n >= 4 with
+    dominating transversal number n/2, and None otherwise.
+    """
+    g = parse_graph6(g6)
+    c = InvariantCache(g)
+    if mode == "max_tau_i":
+        return {"tau_i": c.tau_i}
+    n = g.n
+    if n < 3 or n % 2 or c.bip is None or 2 * c.gamma_it != n:
+        return None
+    if c.gamma not in (n // 2 - 1, n // 2):
+        raise RuntimeError(f"{g6}: gamma_it = n/2 but gamma = {c.gamma} is not n/2 - 1 or n/2")
+    return {"gamma": c.gamma, "gamma_it": c.gamma_it}
 
 
 def _map_tasks(fn, items: list, jobs: int) -> Iterator:
@@ -334,7 +357,7 @@ def _write_report(
     command: str,
     fmt: str,
     header: list[str],
-    results: Iterable[tuple[str | Rows, Tally]],
+    results: Iterable[tuple[str | Rows, Counts]],
     summary: dict,
 ) -> dict:
     """Write one report to stdout, each rendered entry as ``results`` yields it.
@@ -342,8 +365,8 @@ def _write_report(
     In JSON the sorted keys put ``entries`` before ``summary``, so the
     summary is tallied along the way and written after the last entry;
     the bytes equal those of the whole document dumped at once.  Each
-    result carries the tally of its entry's verdicts, added into the
-    summary's ``TALLY_KEYS``.  Returns the summary with the entry count as
+    result carries its entry's counts, added into the summary's keys of
+    the same names.  Returns the summary with the entry count as
     ``graphs``.
     """
     out = sys.stdout
@@ -356,12 +379,12 @@ def _write_report(
     else:
         write = out.write
     head = _document(command, [0], {}).split(_ENTRY_SLOT)[0] + "\n"
-    for rendered, tally in results:
+    for rendered, counts in results:
         if fmt == "json":
             rendered = (",\n" if summary["graphs"] else head) + rendered
         write(rendered)
         summary["graphs"] += 1
-        for key, count in zip(TALLY_KEYS, tally):
+        for key, count in counts.items():
             summary[key] += count
     if fmt == "json":
         if summary["graphs"]:
@@ -418,7 +441,7 @@ def _cmd_verify(args: argparse.Namespace, command: str) -> int:
     task = partial(_verify_task, check=partial(check_many, ids), proven=_proven(ids), fmt=args.format)
     results = _map_tasks(task, lines, args.jobs)
     header = ["graph6", "theorem", "status"]
-    summary = _write_report(command, args.format, header, results, dict.fromkeys(TALLY_KEYS, 0))
+    summary = _write_report(command, args.format, header, results, _verdict_summary())
     return EXIT_OK if summary["proven_violations"] == 0 else EXIT_VERIFY_FAILED
 
 
@@ -451,22 +474,22 @@ def _cmd_counterexamples(args: argparse.Namespace, command: str) -> int:
     proven = _proven(tid for _, _, ids in named for tid in ids)
     results = (_render_verdicts(e, [e["name"], e["graph6"]], args.format, proven) for e in entries)
     header = ["name", "graph6", "theorem", "status"]
-    _write_report(command, args.format, header, results, dict.fromkeys(TALLY_KEYS, 0))
+    _write_report(command, args.format, header, results, _verdict_summary())
     return EXIT_OK
 
 
 def _cmd_search(args: argparse.Namespace, command: str) -> int:
-    from .theorems import search_extremal
-
     n = _catalog_order(args.order)
-    entries = [
-        {"graph6": g6, "n": n, "values": values}
-        for g6, values in search_extremal(args.mode, catalog_lines(n))
-    ]
-    keys = sorted({k for e in entries for k in e["values"]})
+    lines = catalog_lines(n)
+    found = _map_tasks(partial(_search_task, mode=args.mode), lines, args.jobs)
+    entries = [(g6, values) for g6, values in zip(lines, found) if values is not None]
+    if args.mode == "max_tau_i":
+        top = max((values["tau_i"] for _, values in entries), default=None)
+        entries = [(g6, values) for g6, values in entries if values["tau_i"] == top]
+    keys = sorted({k for _, values in entries for k in values})
     results = (
-        (_render(e, [[e["graph6"], *(e["values"].get(k) for k in keys)]], args.format), ())
-        for e in entries
+        (_render({"graph6": g6, "n": n, "values": values}, [[g6, *map(values.get, keys)]], args.format), {})
+        for g6, values in entries
     )
     _write_report(command, args.format, ["graph6", *keys], results, {"mode": args.mode})
     return EXIT_OK

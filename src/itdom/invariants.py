@@ -456,6 +456,20 @@ def maximum_matching(g: Graph) -> list[tuple[int, int]]:
 # ---------------------------------------------------------------------------
 
 
+class _cached(cached_property):
+    """``cached_property`` without the lock it takes on each first access
+    in Python 3.11: the value is computed and stored in the instance
+    ``__dict__``, where later reads find it.  An evaluator is not shared
+    between threads.  Being a ``cached_property`` still, it lets code find
+    the invariants of ``InvariantCache`` by type."""
+
+    def __get__(self, instance, owner=None):
+        if instance is None:
+            return self
+        value = instance.__dict__[self.attrname] = self.func(instance)
+        return value
+
+
 class InvariantCache:
     """Lazily computed invariants of one graph, each computed at most once.
 
@@ -485,84 +499,84 @@ class InvariantCache:
     def _least(self, key: str, low: int = 0) -> int:
         return _min_hitting_size(*self._CONSTRAINTS[key](self), low)
 
-    @cached_property
+    @_cached
     def local_index(self) -> SetIndex:
         closed = [self.g.closed(v) for v in range(self.g.n)]
         return _index(self.g.n, closed, self.g.adj)
 
-    @cached_property
+    @_cached
     def index(self) -> SetIndex:
         # Every set of Omega has alpha vertices.
         return _with_block(self.local_index, self.family.sets)
 
-    @cached_property
+    @_cached
     def family(self) -> OmegaFamily:
         return omega(self.g)
 
-    @cached_property
+    @_cached
     def alpha(self) -> int:
         return self.family.alpha
 
-    @cached_property
+    @_cached
     def beta(self) -> int:
         return self.g.n - self.alpha
 
-    @cached_property
+    @_cached
     def matching(self) -> int:
         return matching_number(self.g)
 
-    @cached_property
+    @_cached
     def gamma(self) -> int:
         return self._least("gamma")
 
-    @cached_property
+    @_cached
     def tau_i(self) -> int:
         return self._least("tau_i")
 
-    @cached_property
+    @_cached
     def core(self) -> int:
         core = self.g.full_mask
         for s in self.family.sets:
             core &= s
         return core
 
-    @cached_property
+    @_cached
     def xi(self) -> int:
         return self.core.bit_count()
 
-    @cached_property
+    @_cached
     def gamma_it(self) -> int:
         return self._least("gamma_it", max(self.gamma, self.tau_i))
 
-    @cached_property
+    @_cached
     def gamma_t(self) -> int | None:
         return None if self.has_isolated else self._least("gamma_t", 2)
 
-    @cached_property
+    @_cached
     def gamma_tt(self) -> int | None:
         return None if self.has_isolated else self._least("gamma_tt", max(2, self.tau_i))
 
-    @cached_property
+    @_cached
     def bip(self) -> Bipartition | None:
         return bipartition(self.g)
 
-    @cached_property
+    @_cached
     def components(self) -> list[int]:
         return components(self.g)
 
-    @cached_property
+    @_cached
     def connected(self) -> bool:
         return len(self.components) == 1
 
-    @cached_property
+    @_cached
     def m(self) -> int:
         return self.g.m
 
-    @cached_property
+    @_cached
     def complete(self) -> bool:
         return self.m == self.g.n * (self.g.n - 1) // 2
 
-    @cached_property
+    @_cached
     def has_isolated(self) -> bool:
         return bool(self.g.isolated())
 
@@ -584,25 +598,6 @@ class InvariantCache:
         first = self.family.sets[0]
         fixed = {"alpha": first, "beta": self.g.full_mask & ~first, "matching": matched}
         return fixed | {key: next(self.optima(key), None) for key in self._CONSTRAINTS}
-
-    def report(self) -> InvariantReport:
-        """Every invariant with its witness; the matching size is read off
-        the matching witness, so only one matching search runs."""
-        witnesses = self.witnesses()
-        return InvariantReport(
-            n=self.g.n,
-            alpha=self.alpha,
-            beta=self.beta,
-            matching=witnesses["matching"].bit_count() // 2,
-            gamma=self.gamma,
-            tau_i=self.tau_i,
-            xi=self.xi,
-            gamma_it=self.gamma_it,
-            gamma_t=self.gamma_t,
-            gamma_tt=self.gamma_tt,
-            core=self.core,
-            witnesses=witnesses,
-        )
 
 
 # ---------------------------------------------------------------------------
@@ -642,5 +637,22 @@ def gamma_tt(g: Graph) -> int | None:
 
 
 def compute_report(g: Graph) -> InvariantReport:
-    """Compute every invariant and a deterministic witness for each."""
-    return InvariantCache(g).report()
+    """Compute every invariant and a deterministic witness for each; the
+    matching size is read off the matching witness, so only one matching
+    search runs."""
+    c = InvariantCache(g)
+    witnesses = c.witnesses()
+    return InvariantReport(
+        n=g.n,
+        alpha=c.alpha,
+        beta=c.beta,
+        matching=witnesses["matching"].bit_count() // 2,
+        gamma=c.gamma,
+        tau_i=c.tau_i,
+        xi=c.xi,
+        gamma_it=c.gamma_it,
+        gamma_t=c.gamma_t,
+        gamma_tt=c.gamma_tt,
+        core=c.core,
+        witnesses=witnesses,
+    )

@@ -10,19 +10,10 @@ counterexamples without failing.
 from __future__ import annotations
 
 import enum
-from typing import Callable, Iterable, NamedTuple, Sequence
+from typing import Callable, NamedTuple, Sequence
 
-from .graphs import (
-    Graph,
-    bipartition,
-    complement,
-    induced_subgraph,
-    iter_bits,
-    members,
-    parse_graph6,
-    pendant_vertices,
-)
-from .invariants import CHECK_MAX_ORDER, InvariantCache, SolverLimitError, omega, tau_i
+from .graphs import Graph, complement, induced_subgraph, iter_bits, members, pendant_vertices
+from .invariants import CHECK_MAX_ORDER, InvariantCache, SolverLimitError, omega
 
 
 class Status(enum.Enum):
@@ -441,42 +432,3 @@ def check_many(
 def check(theorem_id: str, g: Graph, cache: InvariantCache | None = None) -> TheoremVerdict:
     """Evaluate one registry entry on one graph."""
     return check_many((theorem_id,), g, cache)[0]
-
-
-# ---------------------------------------------------------------------------
-# Extremal searches over the catalogs
-# ---------------------------------------------------------------------------
-
-
-SEARCH_MODES = ("max_tau_i", "bipartite_half_gammait")
-
-
-def search_extremal(mode: str, lines: Iterable[str]) -> list[tuple[str, dict[str, int]]]:
-    """Sweeps over a catalog's graph6 lines behind the open questions, as
-    (graph6, values) pairs in the order of ``lines``.
-
-    max_tau_i lists the graphs attaining the largest minimum transversal.
-    bipartite_half_gammait lists the bipartite graphs of even order
-    n >= 4 whose dominating transversal number is n/2, annotated with
-    their domination number.
-    """
-    if mode not in SEARCH_MODES:
-        raise ValueError(f"unknown search mode {mode!r}")
-    graphs = ((g6, parse_graph6(g6)) for g6 in lines)
-    if mode == "max_tau_i":
-        values = [(g6, tau_i(g)) for g6, g in graphs]
-        top = max((v for _, v in values), default=None)
-        return [(g6, {"tau_i": v}) for g6, v in values if v == top]
-    out = []
-    for g6, g in graphs:
-        n = g.n
-        if n < 3 or n % 2 or bipartition(g) is None:
-            continue
-        c = InvariantCache(g)
-        if 2 * c.gamma_it == n:
-            if c.gamma not in (n // 2 - 1, n // 2):
-                raise RuntimeError(
-                    f"{g6}: gamma_it = n/2 but gamma = {c.gamma} is not n/2 - 1 or n/2"
-                )
-            out.append((g6, {"gamma": c.gamma, "gamma_it": c.gamma_it}))
-    return out

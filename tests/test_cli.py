@@ -16,12 +16,15 @@ from pathlib import Path
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from itdom import complement, encode_graph6, petersen
+from itdom import complement, complete, cycle, encode_graph6, parse_graph6, path, petersen
 from itdom import catalog, cli
 from itdom.catalog import CATALOG_SHA256
 from itdom.cli import main
 from itdom.invariants import SolverLimitError
 from itdom.theorems import CHECK_MAX_ORDER, THEOREMS, Status, Theorem, TheoremVerdict
+
+from helpers import canonical_graph6
+from oracle import naive_oracle
 
 FIXTURES = Path(__file__).parent / "fixtures"
 ROOT = Path(__file__).resolve().parent.parent
@@ -302,6 +305,47 @@ def test_search_modes(capsys):
     assert json.loads(out)["entries"] == []
 
 
+def _search_entries(capsys, mode, order):
+    code, out, _ = run_cli(capsys, "search", mode, "--order", str(order), "--jobs", "1")
+    assert code == 0
+    return json.loads(out)["entries"]
+
+
+def test_search_max_tau_i(capsys):
+    entries = _search_entries(capsys, "max_tau_i", 4)
+    assert [(e["graph6"], e["values"]) for e in entries] == [(canonical_graph6(complete(4)), {"tau_i": 4})]
+    assert [e["values"]["tau_i"] for e in _search_entries(capsys, "max_tau_i", 5)] == [5]
+
+
+def test_search_bipartite_half_gammait(capsys):
+    entries = _search_entries(capsys, "bipartite_half_gammait", 4)
+    found = {e["graph6"] for e in entries}
+    assert canonical_graph6(cycle(4)) in found
+    assert canonical_graph6(path(4)) in found
+    for e in entries:
+        values = e["values"]
+        assert values["gamma_it"] == 2
+        assert values["gamma"] in (1, 2)
+        # reported values re-verify through the oracle
+        oracle = naive_oracle(parse_graph6(e["graph6"]))
+        assert oracle["gamma_it"] == values["gamma_it"]
+        assert oracle["gamma"] == values["gamma"]
+
+
+@pytest.mark.parametrize("order", [2, 5])
+def test_search_bipartite_half_gammait_small_orders_empty(capsys, order):
+    assert _search_entries(capsys, "bipartite_half_gammait", order) == []
+
+
+def test_search_unknown_mode(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["search", "widest_girth", "--order", "4"])
+    assert exc.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "invalid choice: 'widest_girth'" in captured.err
+
+
 def _fixture_corpus(tmp_path):
     """The fixture corpus without its order-0 graph, which no report accepts."""
     corpus = tmp_path / "fixture.g6"
@@ -315,6 +359,10 @@ def test_jobs_do_not_change_output(capsys, tmp_path):
         ("verify", "--order", "5", "--theorems", "all"),
         ("verify", "--order", "5", "--theorems", "all", "--format", "csv"),
         ("invariants", "--corpus", _fixture_corpus(tmp_path)),
+        ("search", "max_tau_i", "--order", "6"),
+        ("search", "max_tau_i", "--order", "6", "--format", "csv"),
+        ("search", "bipartite_half_gammait", "--order", "6"),
+        ("search", "bipartite_half_gammait", "--order", "6", "--format", "csv"),
     ):
         code, serial, _ = run_cli(capsys, *argv, "--jobs", "1")
         assert code == 0
@@ -446,6 +494,28 @@ def test_failure_mid_stream_is_not_a_report(capsys, monkeypatch, tmp_path, jobs,
     assert str(error.args[0]) in err
     if exit_code == 4:
         assert "Traceback" in err
+    with pytest.raises(json.JSONDecodeError):
+        json.loads(out)
+
+
+@pytest.mark.parametrize("jobs", ["1", "2"])
+def test_search_failure_mid_run_is_not_a_report(capsys, monkeypatch, jobs):
+    # The evaluator of one graph found midway through the order-6 catalog
+    # reports a domination number the search rejects; worker processes
+    # inherit the patched evaluator.
+    evaluator = cli.InvariantCache
+
+    def faulty(g):
+        cache = evaluator(g)
+        if encode_graph6(g) == "E@Ug":
+            cache.gamma = 0
+        return cache
+
+    monkeypatch.setattr(cli, "InvariantCache", faulty)
+    code, out, err = run_cli(capsys, "search", "bipartite_half_gammait", "--order", "6", "--jobs", jobs)
+    assert code == 4
+    assert "E@Ug: gamma_it = n/2 but gamma = 0 is not n/2 - 1 or n/2" in err
+    assert "Traceback" in err
     with pytest.raises(json.JSONDecodeError):
         json.loads(out)
 
@@ -818,14 +888,11 @@ def test_invariants_imports_only_what_it_runs(tmp_path):
 
 
 def test_cli_names_match_their_sources():
-    # The parser and the summaries spell these out, so that commands that
-    # do not run ``catalog`` or ``theorems`` need not import them.
+    # The parser spells this out, so that commands that read no catalog
+    # need not import ``catalog``.
     from itdom.catalog import CATALOG_MAX_ORDER
-    from itdom.theorems import SEARCH_MODES
 
     assert cli.CATALOG_MAX_ORDER == CATALOG_MAX_ORDER
-    assert cli.SEARCH_MODES == SEARCH_MODES
-    assert cli.TALLY_KEYS == (*(status.value for status in Status), "proven_violations")
 
 
 # SHA-256 of ``itdom [COMMAND] --help`` at 80 columns, as the parser printed
@@ -856,6 +923,7 @@ def test_help_text_is_unchanged(capsys, monkeypatch, command):
     [
         ("invariants", "--corpus", "CORPUS", "--format", "csv"),
         ("verify", "--corpus", "CORPUS", "--theorems", "all"),
+        ("search", "bipartite_half_gammait", "--order", "6"),
     ],
 )
 def test_spawned_workers_give_the_same_report(capsys, monkeypatch, tmp_path, argv):

@@ -1,4 +1,4 @@
-"""Registry verdicts, characterization predicates and extremal searches."""
+"""Registry verdicts and characterization predicates."""
 
 import ast
 import functools
@@ -11,7 +11,6 @@ from itdom import (
     Graph,
     PROVEN_IDS,
     REFUTABLE_IDS,
-    SEARCH_MODES,
     Status,
     THEOREMS,
     bipartition,
@@ -39,7 +38,6 @@ from itdom import (
     path,
     pendant_condition,
     petersen,
-    search_extremal,
     star,
     tau_i,
 )
@@ -357,42 +355,6 @@ def test_violated_witness_revalidates():
     verdict = check("CONJ1", g)
     value, _ = gamma_it(g)
     assert verdict.witness["gamma_it"] == value > (g.n + 1) // 2
-
-
-def test_search_max_tau_i():
-    results = search_extremal("max_tau_i", enumerate_connected_graphs(4))
-    assert results == [(canonical_graph6(complete(4)), {"tau_i": 4})]
-    results5 = search_extremal("max_tau_i", enumerate_connected_graphs(5))
-    assert [values["tau_i"] for _, values in results5] == [5]
-
-
-def test_search_bipartite_half_gammait():
-    results = search_extremal("bipartite_half_gammait", enumerate_connected_graphs(4))
-    found = {g6 for g6, _ in results}
-    assert canonical_graph6(cycle(4)) in found
-    assert canonical_graph6(path(4)) in found
-    for g6, values in results:
-        assert values["gamma_it"] == 2
-        assert values["gamma"] in (1, 2)
-        # reported values re-verify through the oracle
-        oracle = naive_oracle(parse_graph6(g6))
-        assert oracle["gamma_it"] == values["gamma_it"]
-        assert oracle["gamma"] == values["gamma"]
-
-
-def test_search_bipartite_half_gammait_small_orders_empty():
-    assert search_extremal("bipartite_half_gammait", enumerate_connected_graphs(2)) == []
-    assert search_extremal("bipartite_half_gammait", enumerate_connected_graphs(5)) == []
-
-
-def test_search_unknown_mode():
-    with pytest.raises(ValueError, match="unknown search mode"):
-        search_extremal("widest_girth", enumerate_connected_graphs(4))
-
-
-@pytest.mark.parametrize("mode", SEARCH_MODES)
-def test_search_over_no_lines_finds_nothing(mode):
-    assert search_extremal(mode, []) == []
 
 
 def test_readme_registry_table_lists_the_registry_in_order():
