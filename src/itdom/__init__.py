@@ -15,10 +15,9 @@ _EXPORTS = {
         "graphs": (
             "Bipartition", "EdgeListError", "Graph", "Graph6Error", "bipartition",
             "complement", "complete", "complete_bipartite", "components", "corona",
-            "cycle", "encode_graph6", "induced_subgraph", "is_complete",
-            "is_connected", "is_tree", "iter_bits", "mask_of", "members",
-            "parse_edge_list", "parse_graph6", "path", "pendant_vertices",
-            "petersen", "star",
+            "cycle", "encode_graph6", "induced_subgraph", "is_connected",
+            "iter_bits", "mask_of", "members", "parse_edge_list", "parse_graph6",
+            "path", "pendant_vertices", "petersen", "star",
         ),
         "catalog": ("canonical_form", "enumerate_connected_graphs", "enumerate_graphs"),
         "invariants": (

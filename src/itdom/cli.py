@@ -268,31 +268,32 @@ def _verdict_summary() -> Counts:
     return dict.fromkeys([*(status.value for status in Status), "proven_violations"], 0)
 
 
-def _render_verdicts(entry: dict, key: list, fmt: str, proven: frozenset[str]) -> tuple[str | Rows, Counts]:
+def _render_verdicts(entry: dict, key: list, fmt: str) -> tuple[str | Rows, Counts]:
     """An entry whose ``verdicts`` are ``TheoremVerdict`` tuples, rendered
     with one CSV row per verdict (``key`` then theorem and status), and the
-    count of its verdicts by status value and of its proven violations for
-    the summary; a violation counts as proven when ``proven`` names its
-    theorem."""
+    count of its verdicts by status value and of its violations of proven
+    registry entries for the summary."""
+    from .theorems import THEOREMS
+
     verdicts = entry["verdicts"]
     values = [status._value_ for _, status, _ in verdicts]
     counts = {value: values.count(value) for value in set(values)}
     counts["proven_violations"] = sum(
-        1 for (tid, _, _), value in zip(verdicts, values) if value == "Violated" and tid in proven
+        1
+        for (tid, _, _), value in zip(verdicts, values)
+        if value == "Violated" and THEOREMS[tid].expected == "proven"
     )
     if fmt == "csv":
         return [[*key, tid, value] for (tid, _, _), value in zip(verdicts, values)], counts
     return _render(dict(entry, verdicts=[_verdict_text(v) for v in verdicts]), [], fmt), counts
 
 
-def _verify_task(
-    g6: str, check: Callable, proven: frozenset[str], fmt: str
-) -> tuple[str | Rows, Counts]:
+def _verify_task(g6: str, check: Callable, fmt: str) -> tuple[str | Rows, Counts]:
     """The verdicts of ``check`` (``check_many`` bound to the theorem ids)
     on one graph, rendered.  A worker imports ``theorems`` when it unpickles
     ``check``."""
     g = parse_graph6(g6)
-    return _render_verdicts({"graph6": g6, "n": g.n, "verdicts": check(g)}, [g6], fmt, proven)
+    return _render_verdicts({"graph6": g6, "n": g.n, "verdicts": check(g)}, [g6], fmt)
 
 
 def _search_task(g6: str, mode: str) -> dict[str, int] | None:
@@ -423,13 +424,6 @@ def _parse_theorem_ids(selector: str) -> tuple[str, ...]:
     return ids
 
 
-def _proven(ids: Iterable[str]) -> frozenset[str]:
-    """The ids among ``ids`` whose registry entries are proven."""
-    from .theorems import THEOREMS
-
-    return frozenset(tid for tid in ids if THEOREMS[tid].expected == "proven")
-
-
 def _cmd_verify(args: argparse.Namespace, command: str) -> int:
     from .theorems import check_many
 
@@ -438,7 +432,7 @@ def _cmd_verify(args: argparse.Namespace, command: str) -> int:
         lines = _corpus_lines(args.corpus)
     else:
         lines = catalog_lines(_catalog_order(args.order), connected=True)
-    task = partial(_verify_task, check=partial(check_many, ids), proven=_proven(ids), fmt=args.format)
+    task = partial(_verify_task, check=partial(check_many, ids), fmt=args.format)
     results = _map_tasks(task, lines, args.jobs)
     header = ["graph6", "theorem", "status"]
     summary = _write_report(command, args.format, header, results, _verdict_summary())
@@ -471,8 +465,7 @@ def _cmd_counterexamples(args: argparse.Namespace, command: str) -> int:
             }
         )
     entries.sort(key=lambda e: e["graph6"])
-    proven = _proven(tid for _, _, ids in named for tid in ids)
-    results = (_render_verdicts(e, [e["name"], e["graph6"]], args.format, proven) for e in entries)
+    results = (_render_verdicts(e, [e["name"], e["graph6"]], args.format) for e in entries)
     header = ["name", "graph6", "theorem", "status"]
     _write_report(command, args.format, header, results, _verdict_summary())
     return EXIT_OK

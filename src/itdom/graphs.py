@@ -117,11 +117,6 @@ class Graph:
             raise ValueError("minimum degree undefined for the empty graph")
         return min(row.bit_count() for row in self.adj)
 
-    def max_degree(self) -> int:
-        if self.n == 0:
-            raise ValueError("maximum degree undefined for the empty graph")
-        return max(row.bit_count() for row in self.adj)
-
     def has_edge(self, u: int, v: int) -> bool:
         return bool((self.adj[u] >> v) & 1)
 
@@ -391,14 +386,6 @@ def components(g: Graph) -> list[int]:
 
 def is_connected(g: Graph) -> bool:
     return g.n >= 1 and len(components(g)) == 1
-
-
-def is_complete(g: Graph) -> bool:
-    return g.m == g.n * (g.n - 1) // 2
-
-
-def is_tree(g: Graph) -> bool:
-    return is_connected(g) and g.m == g.n - 1
 
 
 def bipartition(g: Graph) -> Bipartition | None:

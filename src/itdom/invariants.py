@@ -7,15 +7,18 @@ open neighbourhoods N(v), ``tau_i`` of the maximum independent sets Omega,
 branch-and-bound kernel (``_min_hitting_size``) finds every value, and one
 enumerator (``_hitting_sets``) lists the optimal sets in increasing bitmask
 order, so each reported witness is the least optimum by mask value.  Both
-take a family as a mask of indices into one index of the sets sorted by
-size (``SetIndex``), built once per graph, and bound with a greedy packing
-of pairwise disjoint unhit sets, each of which needs its own hitter
-(``_packs``; the matching bound of exact dominating-set search, van Rooij
-and Bodlaender, Discrete Appl. Math. 159, 2011).  The value search also
+take a family as a mask of indices into an index of the sets sorted by
+size (``SetIndex``), and bound with a greedy packing of pairwise disjoint
+unhit sets, each of which needs its own hitter (``_packs``; the matching
+bound of exact dominating-set search, van Rooij and Bodlaender, Discrete
+Appl. Math. 159, 2011).  The value search also
 keeps the counting bound ceil(#unhit / widest) as its first test, and
 packs only when, at the root, packing beats counting.
 ``InvariantCache`` is the single evaluator: it computes each invariant of a
 graph at most once, and the public functions and ``compute_report`` read it.
+It builds one index per graph, of N[v], N(v) and Omega, with one builder
+(``_index``); ``gamma`` and ``gamma_t`` asked before Omega is known read an
+index of N[v] and N(v) alone, so they never enumerate Omega.
 
 Matching is one Edmonds blossom search (``_augment``, after "Paths, trees,
 and flowers", 1965).  ``matching_number`` grows a greedy matching by one
@@ -30,7 +33,6 @@ both would augment M itself.
 
 from __future__ import annotations
 
-from bisect import bisect_right
 from functools import cached_property
 from itertools import accumulate
 from typing import Iterator, NamedTuple, Sequence
@@ -171,22 +173,6 @@ def _index(n: int, *families: Sequence[int]) -> SetIndex:
     for p, i in enumerate(order):
         masks[tags[i]] |= 1 << p
     return SetIndex(sets, _incidence(sets, n), tuple(masks))
-
-
-def _with_block(index: SetIndex, block: Sequence[int]) -> SetIndex:
-    """``index`` with one more family, ``block``, whose sets all have the
-    same size: they go in as one run, after the sets no larger than they
-    are, so only the incidence of the block itself is computed."""
-    k = bisect_right(index.sets, block[0].bit_count(), key=int.bit_count)
-    below = (1 << k) - 1
-    width = len(block)
-
-    def spread(mask: int) -> int:  # open a gap of ``width`` indices at k
-        return mask & below | (mask >> k) << (k + width)
-
-    hits = [spread(h) | b << k for h, b in zip(index.hits, _incidence(block, len(index.hits)))]
-    families = (*map(spread, index.families), ((1 << width) - 1) << k)
-    return SetIndex([*index.sets[:k], *block, *index.sets[k:]], hits, families)
 
 
 def _lowest(mask: int, k: int) -> int:
@@ -479,35 +465,37 @@ class InvariantCache:
     no invariants and is refused.
     """
 
-    # Hitting-set invariant -> the index and the mask of the sets each of
-    # its feasible sets must meet.  In both indexes family 0 is the closed
-    # neighbourhoods N[v] and family 1 the open ones N(v); family 2 of
-    # ``index`` is Omega.  gamma and gamma_t read the index without Omega,
-    # so they never wait for it.
-    _CONSTRAINTS = {
-        "gamma": lambda c: (c.local_index, c.local_index.families[0]),
-        "tau_i": lambda c: (c.index, c.index.families[2]),
-        "gamma_it": lambda c: (c.index, c.index.families[0] | c.index.families[2]),
-        "gamma_t": lambda c: (c.local_index, c.local_index.families[1]),
-        "gamma_tt": lambda c: (c.index, c.index.families[1] | c.index.families[2]),
-    }
+    # Hitting-set invariant -> the numbers, in an index, of the families its
+    # feasible sets must meet: 0 is N[v], 1 is N(v) and 2 is Omega.
+    _CONSTRAINTS = {"gamma": (0,), "tau_i": (2,), "gamma_it": (0, 2), "gamma_t": (1,), "gamma_tt": (1, 2)}
 
     def __init__(self, g: Graph) -> None:
         _require_vertices(g)
         self.g = g
 
+    def _constraint(self, key: str) -> tuple[SetIndex, int]:
+        """The index and the mask of the sets the invariant ``key`` must meet:
+        ``local_index`` while Omega is neither needed nor known."""
+        numbers = self._CONSTRAINTS[key]
+        index = self.index if 2 in numbers or "family" in self.__dict__ else self.local_index
+        return index, sum(index.families[f] for f in numbers)  # disjoint masks
+
     def _least(self, key: str, low: int = 0) -> int:
-        return _min_hitting_size(*self._CONSTRAINTS[key](self), low)
+        return _min_hitting_size(*self._constraint(key), low)
 
     @_cached
     def local_index(self) -> SetIndex:
-        closed = [self.g.closed(v) for v in range(self.g.n)]
-        return _index(self.g.n, closed, self.g.adj)
+        # N[v] and N(v) without Omega, so that gamma and gamma_t alone never
+        # enumerate it: 12 disjoint triangles have 3^12 maximum independent
+        # sets, which take seconds to index, and 13 have more than
+        # DEFAULT_OMEGA_CAP, while gamma of either is found in a millisecond.
+        g = self.g
+        return _index(g.n, [g.closed(v) for v in range(g.n)], g.adj)
 
     @_cached
     def index(self) -> SetIndex:
-        # Every set of Omega has alpha vertices.
-        return _with_block(self.local_index, self.family.sets)
+        g = self.g
+        return _index(g.n, [g.closed(v) for v in range(g.n)], g.adj, self.family.sets)
 
     @_cached
     def family(self) -> OmegaFamily:
@@ -546,7 +534,8 @@ class InvariantCache:
 
     @_cached
     def gamma_it(self) -> int:
-        return self._least("gamma_it", max(self.gamma, self.tau_i))
+        # tau_i first: it computes Omega, so that gamma reads the one index.
+        return self._least("gamma_it", max(self.tau_i, self.gamma))
 
     @_cached
     def gamma_t(self) -> int | None:
@@ -585,7 +574,7 @@ class InvariantCache:
         size = getattr(self, key)
         if size is None:
             return iter(())
-        return _hitting_sets(*self._CONSTRAINTS[key](self), size)
+        return _hitting_sets(*self._constraint(key), size)
 
     def witnesses(self) -> dict[str, int | None]:
         """One optimal vertex mask per invariant: the least one by mask value

@@ -353,12 +353,8 @@ def _t35(g: Graph, c: InvariantCache):
         return None, {"reason": "has a component of order at most 2"}
     half = g.n // 2
     case1 = c.gamma == half
-    case2 = False
-    if c.gamma == half - 1:
-        sizes = sorted((c.bip.x.bit_count(), c.bip.y.bit_count()))
-        if sizes[0] == half - 1 and sizes[0] != sizes[1]:
-            small = c.bip.x if c.bip.x.bit_count() == sizes[0] else c.bip.y
-            case2 = pendant_condition(g, small).holds
+    # A side of half - 1 vertices is the smaller one: |X| + |Y| = n.
+    case2 = c.gamma == half - 1 and any(pendant_condition(g, x).holds for x in _side_labelings(c))
     if not case1 and not case2:
         return None, {"reason": "neither hypothesis case applies"}
     return c.gamma_it == half, {

@@ -16,8 +16,8 @@ from pathlib import Path
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from itdom import complement, complete, cycle, encode_graph6, parse_graph6, path, petersen
-from itdom import catalog, cli
+from itdom import bipartition, complement, complete, cycle, encode_graph6, parse_graph6, path, petersen
+from itdom import catalog, cli, invariants
 from itdom.catalog import CATALOG_SHA256
 from itdom.cli import main
 from itdom.invariants import SolverLimitError
@@ -810,7 +810,7 @@ def test_reused_verdict_texts_keep_true_apart_from_1(monkeypatch):
 
     def rendered(value):
         verdict = TheoremVerdict("EQ1", Status.HOLDS, {"w": value, "n": 2})
-        return cli._render_verdicts(entry(verdict), ["A_"], "json", frozenset())[0]
+        return cli._render_verdicts(entry(verdict), ["A_"], "json")[0]
 
     def dumped(value):
         return _dumped(entry({"theorem": "EQ1", "status": "Holds", "witness": {"w": value, "n": 2}}))
@@ -841,6 +841,28 @@ def test_broken_pipe_is_not_an_internal_error(capsys, monkeypatch, jobs):
     code = main(["verify", "--order", "5", "--jobs", jobs])
     assert code == 141
     assert capsys.readouterr().err == ""
+
+
+def test_each_command_builds_one_set_index_per_graph(capsys, monkeypatch, tmp_path):
+    built = []
+    set_index = invariants.SetIndex
+    monkeypatch.setattr(invariants, "SetIndex", lambda *fields: built.append(1) or set_index(*fields))
+    catalog6 = catalog.enumerate_connected_graphs(6)
+    corpus = tmp_path / "order6.g6"
+    corpus.write_text("\n".join(catalog6) + "\n")
+    # The bipartite search evaluates the bipartite graphs alone.
+    bipartite = sum(bipartition(parse_graph6(g6)) is not None for g6 in catalog6)
+    for argv, graphs in [
+        (("invariants", "--corpus", str(corpus)), len(catalog6)),
+        (("verify", "--order", "6"), len(catalog6)),
+        (("search", "max_tau_i", "--order", "6"), len(catalog6)),
+        (("search", "bipartite_half_gammait", "--order", "6"), bipartite),
+        (("counterexamples",), 2),
+    ]:
+        built.clear()
+        code, _, _ = run_cli(capsys, *argv, "--jobs", "1")
+        assert code == 0
+        assert len(built) == graphs, argv
 
 
 def test_every_package_module_is_reachable_from_the_cli():

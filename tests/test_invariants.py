@@ -1,6 +1,8 @@
 """Solver-level checks for the invariant computations."""
 
+import hashlib
 import random
+from pathlib import Path
 
 import networkx as nx
 import pytest
@@ -18,6 +20,7 @@ from itdom import (
     cycle,
     domination_number,
     enumerate_connected_graphs,
+    enumerate_graphs,
     gamma_it,
     gamma_t,
     gamma_tt,
@@ -367,3 +370,25 @@ def test_report_matching_and_sandwich_over_catalog():
             report = compute_report(g)
             assert report.matching == matching_number(g)
             assert max(report.gamma, report.tau_i) <= report.gamma_it
+
+
+def test_gamma_alone_never_enumerates_omega():
+    # 13 disjoint triangles: 3^13 maximum independent sets, more than the cap.
+    g = Graph(39, [(3 * i + a, 3 * i + b) for i in range(13) for a, b in ((0, 1), (0, 2), (1, 2))])
+    c = InvariantCache(g)
+    assert c.gamma == 13
+    assert "family" not in c.__dict__ and "index" not in c.__dict__
+    assert 3**13 > invariants.DEFAULT_OMEGA_CAP
+
+
+# SHA-256 of the reports of every graph of order 1 to 7 and of the fixture
+# corpus, joined by newlines: a change to any value or witness changes it.
+REPORTS_SHA256 = "9b47f893b533489863c781bb52cffb226b053a81cf1ea6ee0281a6123d86ba1e"
+
+
+def test_reports_are_unchanged():
+    corpus = (Path(__file__).parent / "fixtures" / "corpus.g6").read_text().split()
+    lines = [g6 for n in range(1, 8) for g6 in enumerate_graphs(n)] + [g6 for g6 in corpus if g6 != "?"]
+    assert len(lines) == 1285
+    text = "\n".join(repr(compute_report(parse_graph6(g6))) for g6 in lines)
+    assert hashlib.sha256(text.encode()).hexdigest() == REPORTS_SHA256

@@ -5,6 +5,7 @@ import functools
 import random
 from pathlib import Path
 
+import networkx as nx
 import pytest
 
 from itdom import (
@@ -28,9 +29,7 @@ from itdom import (
     figure1_graph,
     gamma_it,
     induced_subgraph,
-    is_complete,
     is_corona,
-    is_tree,
     mask_of,
     members,
     omega,
@@ -44,7 +43,7 @@ from itdom import (
 from itdom.invariants import SolverLimitError
 from itdom.theorems import CHECK_MAX_ORDER, InvariantCache, _component_shape, _theorem
 
-from helpers import canonical_graph6, is_c4, random_graph
+from helpers import canonical_graph6, is_c4, random_graph, to_networkx
 from oracle import naive_oracle
 
 
@@ -113,13 +112,13 @@ def test_l21_hypothesis_is_three_pairwise_non_adjacent_vertices():
         comp = complement(g)
         triangle = any(comp.adj[u] & comp.adj[v] for u, v in comp.edges())
         ok, witness = THEOREMS["L2.1"].fn(g, InvariantCache(g))
-        assert (witness == {"reason": "complement has a triangle"}) == (not is_complete(g) and triangle)
+        assert (witness == {"reason": "complement has a triangle"}) == (comp.m > 0 and triangle)
 
 
 def test_tree_hypothesis_reads_connected():
     for g in _shortcut_graphs():
         ok, _ = THEOREMS["TREE"].fn(g, InvariantCache(g))
-        assert (ok is not None) == is_tree(g)
+        assert (ok is not None) == nx.is_tree(to_networkx(g))
 
 
 def test_t33_shapes_match_induced_subgraphs():
@@ -386,3 +385,11 @@ def test_package_checks_survive_optimization():
     for source in sources:
         tree = ast.parse(source.read_text(), filename=str(source))
         assert not any(isinstance(node, ast.Assert) for node in ast.walk(tree)), source.name
+
+
+def test_every_check_reads_one_index():
+    # Every check after EQ1 finds Omega known, so no index without it is built.
+    for g in map(parse_graph6, enumerate_graphs(6)):
+        cache = InvariantCache(g)
+        check_many(tuple(THEOREMS), g, cache)
+        assert "index" in cache.__dict__ and "local_index" not in cache.__dict__
