@@ -273,16 +273,18 @@ def _render_verdicts(entry: dict, key: list, fmt: str) -> tuple[str | Rows, Coun
     with one CSV row per verdict (``key`` then theorem and status), and the
     count of its verdicts by status value and of its violations of proven
     registry entries for the summary."""
-    from .theorems import THEOREMS
-
     verdicts = entry["verdicts"]
     values = [status._value_ for _, status, _ in verdicts]
     counts = {value: values.count(value) for value in set(values)}
-    counts["proven_violations"] = sum(
-        1
-        for (tid, _, _), value in zip(verdicts, values)
-        if value == "Violated" and THEOREMS[tid].expected == "proven"
-    )
+    counts["proven_violations"] = 0
+    if "Violated" in counts:  # rare, so the registry is looked up only then
+        from .theorems import THEOREMS
+
+        counts["proven_violations"] = sum(
+            THEOREMS[tid].expected == "proven"
+            for (tid, _, _), value in zip(verdicts, values)
+            if value == "Violated"
+        )
     if fmt == "csv":
         return [[*key, tid, value] for (tid, _, _), value in zip(verdicts, values)], counts
     return _render(dict(entry, verdicts=[_verdict_text(v) for v in verdicts]), [], fmt), counts

@@ -16,9 +16,11 @@ keeps the counting bound ceil(#unhit / widest) as its first test, and
 packs only when, at the root, packing beats counting.
 ``InvariantCache`` is the single evaluator: it computes each invariant of a
 graph at most once, and the public functions and ``compute_report`` read it.
-It builds one index per graph, of N[v], N(v) and Omega, with one builder
-(``_index``); ``gamma`` and ``gamma_t`` asked before Omega is known read an
-index of N[v] and N(v) alone, so they never enumerate Omega.
+Once Omega is known, every search reads one index of N[v], N(v) and
+Omega, built by one builder (``_index``) in time linear in the number of
+sets; ``gamma`` and ``gamma_t`` asked before Omega is known read an index
+of N[v] and N(v) alone, so they never enumerate Omega, and a graph asked
+for ``gamma`` before an invariant of Omega is indexed twice.
 
 Matching is one Edmonds blossom search (``_augment``, after "Paths, trees,
 and flowers", 1965).  ``matching_number`` grows a greedy matching by one
@@ -149,30 +151,34 @@ class SetIndex(NamedTuple):
     families: tuple[int, ...]
 
 
-def _incidence(sets: Sequence[int], n: int) -> list[int]:
-    """hits[v] for v < n: the bitmask of indices of the sets containing v."""
-    hits = [0] * n
-    bit = 1
-    for s in sets:  # iter_bits inlined: this loop leads the index's time
-        while s:
-            low = s & -s
-            hits[low.bit_length() - 1] |= bit
-            s ^= low
-        bit <<= 1
-    return hits
+# _DIGITS[j] maps each byte to the ASCII digit "0" or "1" of its bit j.
+_DIGITS = [bytes(b"01"[byte >> bit & 1] for byte in range(256)) for bit in range(8)]
+
+
+def _columns(rows: bytes, width: int, count: int) -> list[int]:
+    """Columns j < ``count`` of the bit matrix whose rows are the ``width``-byte
+    little-endian records of ``rows``: column j is the mask of the rows that
+    have bit j set.
+
+    Bit j of every row is one strided slice of ``rows``, translated to
+    base-2 digits, last row first, and parsed in C, in time linear in the
+    number of rows: setting the bits one by one in Python would be
+    quadratic, each OR copying the mask so far.
+    """
+    return [int(rows[j >> 3 :: width].translate(_DIGITS[j & 7])[::-1] or b"0", 2) for j in range(count)]
 
 
 def _index(n: int, *families: Sequence[int]) -> SetIndex:
-    """The index of ``families`` of sets of vertices below ``n``."""
+    """The index of ``families`` (at most eight) of sets of vertices below ``n``."""
     flat = [s for family in families for s in family]
     tags = [f for f, family in enumerate(families) for _ in family]
     sizes = [s.bit_count() for s in flat]
     order = sorted(range(len(flat)), key=sizes.__getitem__)
     sets = [flat[i] for i in order]
-    masks = [0] * len(families)
-    for p, i in enumerate(order):
-        masks[tags[i]] |= 1 << p
-    return SetIndex(sets, _incidence(sets, n), tuple(masks))
+    width = (n + 7) // 8
+    hits = _columns(b"".join([s.to_bytes(width, "little") for s in sets]), width, n)
+    families_of = bytes([1 << tags[i] for i in order])  # bit f marks family f
+    return SetIndex(sets, hits, tuple(_columns(families_of, 1, len(families))))
 
 
 def _lowest(mask: int, k: int) -> int:
@@ -483,19 +489,22 @@ class InvariantCache:
     def _least(self, key: str, low: int = 0) -> int:
         return _min_hitting_size(*self._constraint(key), low)
 
+    def _neighbourhood_index(self, *more: Sequence[int]) -> SetIndex:
+        """The index of N[v], N(v) and the families ``more``."""
+        g = self.g
+        return _index(g.n, [g.closed(v) for v in range(g.n)], g.adj, *more)
+
     @_cached
     def local_index(self) -> SetIndex:
         # N[v] and N(v) without Omega, so that gamma and gamma_t alone never
         # enumerate it: 12 disjoint triangles have 3^12 maximum independent
-        # sets, which take seconds to index, and 13 have more than
+        # sets, which take seconds to list and index, and 13 have more than
         # DEFAULT_OMEGA_CAP, while gamma of either is found in a millisecond.
-        g = self.g
-        return _index(g.n, [g.closed(v) for v in range(g.n)], g.adj)
+        return self._neighbourhood_index()
 
     @_cached
     def index(self) -> SetIndex:
-        g = self.g
-        return _index(g.n, [g.closed(v) for v in range(g.n)], g.adj, self.family.sets)
+        return self._neighbourhood_index(self.family.sets)
 
     @_cached
     def family(self) -> OmegaFamily:

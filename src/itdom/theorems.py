@@ -156,7 +156,7 @@ def _eq5(g: Graph, c: InvariantCache):
 
 @_theorem("EQ6", "proven", "max(gamma, tau_i) <= gamma_it")
 def _eq6(g: Graph, c: InvariantCache):
-    ok = max(c.gamma, c.tau_i) <= c.gamma_it
+    ok = max(c.tau_i, c.gamma) <= c.gamma_it  # tau_i first: see InvariantCache.gamma_it
     return ok, {"gamma": c.gamma, "tau_i": c.tau_i, "gamma_it": c.gamma_it}
 
 
@@ -248,7 +248,8 @@ def _sand(g: Graph, c: InvariantCache):
     if not c.connected:
         return None, {"reason": "not connected"}
     delta = g.min_degree()
-    ok = c.gamma <= c.gamma_it <= c.gamma + delta
+    gamma_it = c.gamma_it  # first: it computes Omega, so that gamma reads the one index
+    ok = c.gamma <= gamma_it <= c.gamma + delta
     return ok, {"gamma": c.gamma, "gamma_it": c.gamma_it, "delta": delta}
 
 

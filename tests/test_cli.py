@@ -855,6 +855,10 @@ def test_each_command_builds_one_set_index_per_graph(capsys, monkeypatch, tmp_pa
     for argv, graphs in [
         (("invariants", "--corpus", str(corpus)), len(catalog6)),
         (("verify", "--order", "6"), len(catalog6)),
+        # Each of these subsets reads Omega before gamma.
+        (("verify", "--order", "6", "--theorems", "EQ6"), len(catalog6)),
+        (("verify", "--order", "6", "--theorems", "SAND"), len(catalog6)),
+        (("verify", "--order", "6", "--theorems", "EQ1,EQ4"), len(catalog6)),
         (("search", "max_tau_i", "--order", "6"), len(catalog6)),
         (("search", "bipartite_half_gammait", "--order", "6"), bipartite),
         (("counterexamples",), 2),

@@ -381,6 +381,21 @@ def test_gamma_alone_never_enumerates_omega():
     assert 3**13 > invariants.DEFAULT_OMEGA_CAP
 
 
+@pytest.mark.parametrize("n", [1, 8, 13, 32])
+def test_index_matches_its_definition(n):
+    # Three families, the last one long, with sets of mixed sizes and ties.
+    rng = random.Random(n)
+    families = [[rng.getrandbits(n) for _ in range(k)] for k in (n, 5, 3000)]
+    index = invariants._index(n, *families)
+    given = [(s, f) for f, family in enumerate(families) for s in family]
+    ranked = sorted(given, key=lambda item: item[0].bit_count())  # stable
+    assert index.sets == [s for s, _ in ranked]
+    for v in range(n):
+        assert index.hits[v] == sum(1 << i for i, (s, _) in enumerate(ranked) if s >> v & 1)
+    for f in range(3):
+        assert index.families[f] == sum(1 << i for i, (_, t) in enumerate(ranked) if t == f)
+
+
 # SHA-256 of the reports of every graph of order 1 to 7 and of the fixture
 # corpus, joined by newlines: a change to any value or witness changes it.
 REPORTS_SHA256 = "9b47f893b533489863c781bb52cffb226b053a81cf1ea6ee0281a6123d86ba1e"
