@@ -117,9 +117,6 @@ class Graph:
             raise ValueError("minimum degree undefined for the empty graph")
         return min(row.bit_count() for row in self.adj)
 
-    def has_edge(self, u: int, v: int) -> bool:
-        return bool((self.adj[u] >> v) & 1)
-
     def closed(self, v: int) -> int:
         """Closed neighborhood N[v] as a bitmask."""
         return self.adj[v] | (1 << v)
@@ -391,28 +388,27 @@ def is_connected(g: Graph) -> bool:
 def bipartition(g: Graph) -> Bipartition | None:
     """Deterministic two-coloring, or None for non-bipartite graphs.
 
-    In each component the color class containing the component's minimum
-    vertex goes to X, so connected graphs get the side containing vertex 0.
+    Each component is walked in breadth-first layers from its minimum
+    vertex, the least vertex not yet walked: even layers go to X, so
+    connected graphs get the side containing vertex 0, and an edge inside
+    a layer closes an odd cycle.
     """
-    color = [-1] * g.n
-    for root in range(g.n):
-        if color[root] != -1:
-            continue
-        # The least vertex not yet colored is the least of its component.
-        color[root] = 0
-        frontier = [root]
-        while frontier:
-            nxt = []
-            for v in frontier:
-                for u in iter_bits(g.adj[v]):
-                    if color[u] == -1:
-                        color[u] = color[v] ^ 1
-                        nxt.append(u)
-                    elif color[u] == color[v]:
-                        return None
-            frontier = nxt
-    x = mask_of(v for v in range(g.n) if color[v] == 0)
-    return Bipartition(x, g.full_mask & ~x)
+    sides = [0, 0]
+    rest = g.full_mask
+    while rest:
+        layer = rest & -rest
+        parity = 0
+        while layer:
+            rest ^= layer
+            nxt = 0
+            for v in iter_bits(layer):
+                if g.adj[v] & layer:
+                    return None
+                nxt |= g.adj[v]
+            sides[parity] |= layer
+            parity ^= 1
+            layer = nxt & rest
+    return Bipartition(*sides)
 
 
 def pendant_vertices(g: Graph) -> int:

@@ -85,48 +85,49 @@ def _require_vertices(g: Graph) -> None:
 
 
 def omega(g: Graph) -> OmegaFamily:
-    """All maximum independent sets, found as maximal cliques of the complement.
+    """All maximum independent sets, by a with-or-without search on G's rows.
 
-    Bron-Kerbosch with pivoting; branches that cannot reach the best size
-    found so far are cut, which keeps the family exact while skipping
-    maximal-but-not-maximum sets.
+    ``free`` holds the vertices adjacent to nothing ``chosen``.  A maximum
+    set of G[free] is maximal, so it holds the lowest free vertex v or a
+    free neighbour of v.  So v joins if it has no free neighbour; if it has
+    one, u, the sets split into those holding u and those holding v; else
+    the search takes v, then drops it, and a neighbour of v left with no
+    free neighbour joins.  A node is cut when ``chosen`` plus ``free`` falls
+    short of the best size so far.
     """
     _require_vertices(g)
-    full = g.full_mask
-    cadj = [full & ~g.adj[v] & ~(1 << v) for v in range(g.n)]
+    adj = g.adj
     best_size = 0
     best: list[int] = []
 
-    def expand(r: int, p: int, x: int) -> None:
+    def search(chosen: int, free: int) -> None:
         nonlocal best_size, best
-        if p == 0 and x == 0:
-            size = r.bit_count()
-            if size > best_size:
-                best_size = size
-                best = [r]
-            elif size == best_size:
-                best.append(r)
-                if len(best) > DEFAULT_OMEGA_CAP:
-                    raise OmegaCapError(
-                        f"more than {DEFAULT_OMEGA_CAP} maximum independent sets"
-                    )
-            return
-        if r.bit_count() + p.bit_count() < best_size:
-            return
-        pivot = -1
-        pivot_deg = -1
-        for u in iter_bits(p | x):
-            deg = (cadj[u] & p).bit_count()
-            if deg > pivot_deg:
-                pivot, pivot_deg = u, deg
-        sub = p & ~cadj[pivot]
-        for v in iter_bits(sub):
-            bit = 1 << v
-            expand(r | bit, p & cadj[v], x & cadj[v])
-            p &= ~bit
-            x |= bit
+        while free:
+            if chosen.bit_count() + free.bit_count() < best_size:
+                return
+            low = free & -free
+            near = adj[low.bit_length() - 1] & free
+            if near & (near - 1):
+                search(chosen | low, free & ~near & ~low)
+                free ^= low
+                for u in iter_bits(near):
+                    if not adj[u] & free:
+                        chosen |= 1 << u
+                        free ^= 1 << u
+            else:
+                if near:
+                    search(chosen | near, free & ~adj[near.bit_length() - 1] & ~near)
+                chosen |= low
+                free &= ~near & ~low
+        size = chosen.bit_count()
+        if size > best_size:
+            best_size, best = size, [chosen]
+        elif size == best_size:
+            best.append(chosen)
+            if len(best) > DEFAULT_OMEGA_CAP:
+                raise OmegaCapError(f"more than {DEFAULT_OMEGA_CAP} maximum independent sets")
 
-    expand(0, full, 0)
+    search(0, g.full_mask)
     return OmegaFamily(alpha=best_size, sets=tuple(sorted(best)))
 
 

@@ -89,7 +89,7 @@ def _bfs_distance_without_edge(g: Graph, src: int, dst: int) -> int | None:
         x = queue[head]
         head += 1
         for y in range(g.n):
-            if not g.has_edge(x, y):
+            if not g.adj[x] >> y & 1:
                 continue
             if {x, y} == {src, dst}:
                 continue

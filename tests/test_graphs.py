@@ -226,5 +226,5 @@ def test_constructed_graphs_are_valid_bitsets():
             assert not (g.adj[v] >> g.n)
             assert not (g.adj[v] >> v) & 1
             for u in members(g.adj[v]):
-                assert g.has_edge(u, v) and g.has_edge(v, u)
+                assert g.adj[u] >> v & 1 and g.adj[v] >> u & 1
         assert encode_graph6(g)  # encodable at this order

@@ -38,7 +38,15 @@ from itdom import (
 )
 from itdom import invariants
 
-from helpers import dominates, gamma_it_sets, ksubsets, least_mask, random_bipartite, random_graph
+from helpers import (
+    dominates,
+    gamma_it_sets,
+    ksubsets,
+    least_mask,
+    random_bipartite,
+    random_graph,
+    to_networkx,
+)
 
 
 def test_omega_complete():
@@ -66,12 +74,27 @@ def test_omega_edgeless_and_k1():
     assert omega(Graph(1)).sets == (1,)
 
 
+def triangles(k: int) -> Graph:
+    """K3 x k: k disjoint triangles."""
+    edges = [(3 * i + a, 3 * i + b) for i in range(k) for a, b in ((0, 1), (0, 2), (1, 2))]
+    return Graph(3 * k, edges)
+
+
 def test_omega_cap(monkeypatch):
     with monkeypatch.context() as m:
         m.setattr(invariants, "DEFAULT_OMEGA_CAP", 3)
         with pytest.raises(OmegaCapError):
             omega(cycle(5))
     assert len(omega(cycle(5)).sets) == 5
+    # The cap bounds the sets held, so a family of exactly the cap returns.
+    for g in (cycle(5), cycle(9), corona(path(10)), triangles(3), petersen()):
+        size = len(omega(g).sets)
+        with monkeypatch.context() as m:
+            m.setattr(invariants, "DEFAULT_OMEGA_CAP", size)
+            assert len(omega(g).sets) == size
+            m.setattr(invariants, "DEFAULT_OMEGA_CAP", size - 1)
+            with pytest.raises(OmegaCapError):
+                omega(g)
 
 
 def test_omega_members_are_maximum_independent():
@@ -83,6 +106,34 @@ def test_omega_members_are_maximum_independent():
             assert s.bit_count() == fam.alpha
             for v in members(s):
                 assert g.adj[v] & s == 0
+
+
+def test_omega_counts_past_the_oracle():
+    fib = [0, 1]
+    while len(fib) < 23:
+        fib.append(fib[-1] + fib[-2])
+    for k in range(1, 21):
+        fam = omega(corona(path(k)))
+        assert fam.alpha == k and len(fam.sets) == fib[k + 2]
+    for k in range(1, 10):
+        fam = omega(triangles(k))
+        assert fam.alpha == k and len(fam.sets) == 3**k
+    for n in range(3, 41):
+        fam = omega(cycle(n))
+        assert fam.alpha == n // 2 and len(fam.sets) == (2 if n % 2 == 0 else n)
+
+
+def test_omega_is_the_maximum_cliques_of_the_complement():
+    rng = random.Random(1704)
+    graphs = [random_graph(rng, rng.randint(20, 40), rng.uniform(0.15, 0.7)) for _ in range(20)]
+    graphs += [Graph(40, [(v, rng.randrange(v)) for v in range(1, 40)]) for _ in range(5)]
+    for g in graphs:
+        # to_networkx holds all n vertices before complementing, so isolated
+        # vertices of the complement are its one-vertex cliques.
+        cliques = [mask_of(c) for c in nx.find_cliques(nx.complement(to_networkx(g)))]
+        alpha = max(c.bit_count() for c in cliques)
+        expected = tuple(sorted(c for c in cliques if c.bit_count() == alpha))
+        assert omega(g) == (alpha, expected)
 
 
 def test_matching_c4_and_petersen():
@@ -116,7 +167,7 @@ def test_maximum_matching_witness():
         assert len(edges) == matching_number(g)
         touched = set()
         for u, v in edges:
-            assert g.has_edge(u, v)
+            assert g.adj[u] >> v & 1
             assert u not in touched and v not in touched
             touched.update((u, v))
 
@@ -374,8 +425,7 @@ def test_report_matching_and_sandwich_over_catalog():
 
 def test_gamma_alone_never_enumerates_omega():
     # 13 disjoint triangles: 3^13 maximum independent sets, more than the cap.
-    g = Graph(39, [(3 * i + a, 3 * i + b) for i in range(13) for a, b in ((0, 1), (0, 2), (1, 2))])
-    c = InvariantCache(g)
+    c = InvariantCache(triangles(13))
     assert c.gamma == 13
     assert "family" not in c.__dict__ and "index" not in c.__dict__
     assert 3**13 > invariants.DEFAULT_OMEGA_CAP

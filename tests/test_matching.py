@@ -100,6 +100,6 @@ def test_maximum_matching_is_a_matching_of_maximum_size(g):
     assert len(edges) == matching_number(g)
     touched = set()
     for u, v in edges:
-        assert g.has_edge(u, v)
+        assert g.adj[u] >> v & 1
         assert u not in touched and v not in touched
         touched.update((u, v))
