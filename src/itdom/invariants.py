@@ -3,29 +3,42 @@
 Every minimum-set invariant here is a minimum hitting set of a family of
 vertex sets: ``gamma`` of the closed neighbourhoods N[v], ``gamma_t`` of the
 open neighbourhoods N(v), ``tau_i`` of the maximum independent sets Omega,
-``gamma_it`` of {N[v]} + Omega and ``gamma_tt`` of {N(v)} + Omega.  One
-branch-and-bound kernel (``_min_hitting_size``) finds every value, and one
-enumerator (``_hitting_sets``) lists the optimal sets in increasing bitmask
-order, so each reported witness is the least optimum by mask value.  Both
-take a family as a mask of indices into an index of the sets sorted by
+``gamma_it`` of {N[v]} + Omega and ``gamma_tt`` of {N(v)} + Omega.  Each
+value is found on one of two paths, chosen by the order n, and each
+reported witness is the least optimum by mask value on both.
+
+Up to ``LATTICE_MAX_ORDER`` vertices a family of vertex subsets is one int
+of 2^n bits, bit s set when the subset s belongs to it (``_lattice``).
+Omega is the largest layer of the independent subsets; the subsets meeting
+every set of a family are an AND, over its sets, of the subsets meeting
+each; a value is the least size that AND holds, and its optima are its set
+bits of that size, which ascend as the subsets' masks do.
+
+Above that order, where the 2^n-bit masks cost more than a search, Omega
+is listed by a with-or-without search, and one branch-and-bound kernel
+(``_min_hitting_size``) finds every value and one enumerator
+(``_hitting_sets``) lists the optimal sets in increasing bitmask order.
+Both take a family as a mask of indices into an index of the sets sorted by
 size (``SetIndex``), and bound with a greedy packing of pairwise disjoint
 unhit sets, each of which needs its own hitter (``_packs``; the matching
 bound of exact dominating-set search, van Rooij and Bodlaender, Discrete
 Appl. Math. 159, 2011).  The value search also
 keeps the counting bound ceil(#unhit / widest) as its first test, and
 packs only when, at the root, packing beats counting.
-``InvariantCache`` is the single evaluator: it computes each invariant of a
-graph at most once, and the public functions and ``compute_report`` read it.
 Once Omega is known, every search reads one index of N[v], N(v) and
 Omega, built by one builder (``_index``) in time linear in the number of
 sets; ``gamma`` and ``gamma_t`` asked before Omega is known read an index
 of N[v] and N(v) alone, so they never enumerate Omega, and a graph asked
 for ``gamma`` before an invariant of Omega is indexed twice.
 
+``InvariantCache`` is the single evaluator: it computes each invariant of a
+graph at most once, and the public functions and ``compute_report`` read it.
+
 Matching is one Edmonds blossom search (``_augment``, after "Paths, trees,
 and flowers", 1965).  ``matching_number`` grows a greedy matching by one
-search from each free vertex.  ``maximum_matching`` reports the
-lexicographically first maximum matching: walking the edges in (u, v)
+search from each free vertex that has another above it.
+``maximum_matching`` reports the lexicographically first maximum
+matching: walking the edges in (u, v)
 order, it keeps an edge whenever it lies in some maximum matching of the
 vertices still available.  It keeps a maximum matching M of those vertices,
 and when u and v are M-matched to a and b it decides the edge uv by
@@ -35,16 +48,20 @@ both would augment M itself.
 
 from __future__ import annotations
 
-from functools import cached_property
+from functools import cache, cached_property
 from itertools import accumulate
-from typing import Iterator, NamedTuple, Sequence
+from typing import Callable, Iterator, NamedTuple, Sequence
 
-from .graphs import Bipartition, Graph, bipartition, components, iter_bits
+from .graphs import Bipartition, Graph, bipartition, components, iter_bits, mask_of
 
 DEFAULT_OMEGA_CAP = 1_000_000
 
 # The largest order the command line and the theorem checks take.
 CHECK_MAX_ORDER = 32
+
+# The largest order whose Omega and hitting-set invariants are read off the
+# subset lattice: past it, work on 2^n-bit masks costs more than the search.
+LATTICE_MAX_ORDER = 15
 
 
 class SolverLimitError(RuntimeError):
@@ -84,10 +101,41 @@ def _require_vertices(g: Graph) -> None:
         raise ValueError("invariant is undefined for the order-0 graph")
 
 
-def omega(g: Graph) -> OmegaFamily:
-    """All maximum independent sets, by a with-or-without search on G's rows.
+@cache
+def _lattice(n: int) -> tuple[Callable[[int], int], list[int]]:
+    """``meeting`` and ``size`` of the subset lattice of n vertices, whose
+    masks have 2^n bits, bit s standing for the vertex subset s:
+    ``meeting(w)`` is the mask of the subsets that meet the vertex set w,
+    and ``size[k]`` that of the subsets of k elements.
 
-    ``free`` holds the vertices adjacent to nothing ``chosen``.  A maximum
+    The subsets that add vertex v to those below it are the latter shifted
+    up by 2^v.  ``meeting`` ORs two masks looked up by the low and the high
+    half of w, each table holding every subset of its half of the vertices.
+    Callers ask only for n up to ``LATTICE_MAX_ORDER``, so the cache holds
+    a few MB at most.
+    """
+    has, size = [], [1]
+    for v in range(n):
+        half = 1 << v
+        has = [h | h << half for h in has] + [((1 << half) - 1) << half]
+        size = [a | b << half for a, b in zip(size + [0], [0] + size)]
+    cut = n // 2
+    low, high = [0], [0]
+    for v in range(n):
+        table = low if v < cut else high
+        table += [m | has[v] for m in table]
+    mask = (1 << cut) - 1
+    return (lambda w: low[w & mask] | high[w >> cut]), size
+
+
+def omega(g: Graph) -> OmegaFamily:
+    """All maximum independent sets, as ascending bitmasks.
+
+    Up to ``LATTICE_MAX_ORDER`` vertices they are the largest layer of the
+    subset lattice that holds an independent set, one holding no vertex v
+    together with a neighbour of v.  Above it a with-or-without search on
+    G's rows lists them.  ``free`` holds the vertices adjacent to nothing
+    ``chosen``.  A maximum
     set of G[free] is maximal, so it holds the lowest free vertex v or a
     free neighbour of v.  So v joins if it has no free neighbour; if it has
     one, u, the sets split into those holding u and those holding v; else
@@ -96,6 +144,19 @@ def omega(g: Graph) -> OmegaFamily:
     short of the best size so far.
     """
     _require_vertices(g)
+    if g.n <= LATTICE_MAX_ORDER:
+        meeting, size = _lattice(g.n)
+        dependent = 0
+        for v, row in enumerate(g.adj):
+            dependent |= meeting(1 << v) & meeting(row)
+        independent = ~dependent
+        alpha = g.n
+        while not size[alpha] & independent:
+            alpha -= 1
+        layer = size[alpha] & independent
+        if layer.bit_count() > DEFAULT_OMEGA_CAP:
+            raise OmegaCapError(f"more than {DEFAULT_OMEGA_CAP} maximum independent sets")
+        return OmegaFamily(alpha=alpha, sets=tuple(iter_bits(layer)))
     adj = g.adj
     best_size = 0
     best: list[int] = []
@@ -385,7 +446,10 @@ def _maximum_mate(g: Graph) -> list[int]:
     """A maximum matching as a mate array: greedy, then one search per free vertex.
 
     A vertex with no augmenting path stays without one after later
-    augmentations, so one pass over the free vertices suffices.
+    augmentations, so one pass over the free vertices suffices.  An
+    augmenting path joins two free vertices, and those below the current
+    one were searched from and failed, so the path ends above it: the pass
+    stops when no free vertex with a neighbour is left above.
     """
     mate = [-1] * g.n
     for v in range(g.n):
@@ -394,9 +458,12 @@ def _maximum_mate(g: Graph) -> list[int]:
                 if mate[u] < 0:
                     mate[u], mate[v] = v, u
                     break
-    for v in range(g.n):
-        if mate[v] < 0 and g.adj[v]:
-            _augment(g.adj, g.full_mask, mate, v)
+    free = mask_of(v for v in range(g.n) if mate[v] < 0 and g.adj[v])
+    while free & (free - 1):
+        v = (free & -free).bit_length() - 1
+        free ^= 1 << v
+        if _augment(g.adj, g.full_mask, mate, v):
+            free = mask_of(u for u in iter_bits(free) if mate[u] < 0)
     return mate
 
 
@@ -472,8 +539,9 @@ class InvariantCache:
     no invariants and is refused.
     """
 
-    # Hitting-set invariant -> the numbers, in an index, of the families its
-    # feasible sets must meet: 0 is N[v], 1 is N(v) and 2 is Omega.
+    # Hitting-set invariant -> the numbers of the families its feasible sets
+    # must meet: 0 is N[v], 1 is N(v) and 2 is Omega, in an index and on the
+    # lattice (``dominating[0]``, ``dominating[1]`` and ``transversals``).
     _CONSTRAINTS = {"gamma": (0,), "tau_i": (2,), "gamma_it": (0, 2), "gamma_t": (1,), "gamma_tt": (1, 2)}
 
     def __init__(self, g: Graph) -> None:
@@ -487,8 +555,21 @@ class InvariantCache:
         index = self.index if 2 in numbers or "family" in self.__dict__ else self.local_index
         return index, sum(index.families[f] for f in numbers)  # disjoint masks
 
+    def _hitting(self, key: str) -> int:
+        """The lattice mask of the subsets meeting every set the invariant
+        ``key`` must meet."""
+        out = -1
+        for f in self._CONSTRAINTS[key]:
+            out &= self.transversals if f == 2 else self.dominating[f]
+        return out
+
     def _least(self, key: str, low: int = 0) -> int:
-        return _min_hitting_size(*self._constraint(key), low)
+        if self.g.n > LATTICE_MAX_ORDER:
+            return _min_hitting_size(*self._constraint(key), low)
+        hitting, size = self._hitting(key), _lattice(self.g.n)[1]
+        while not hitting & size[low]:
+            low += 1
+        return low
 
     def _neighbourhood_index(self, *more: Sequence[int]) -> SetIndex:
         """The index of N[v], N(v) and the families ``more``."""
@@ -510,6 +591,33 @@ class InvariantCache:
     @_cached
     def family(self) -> OmegaFamily:
         return omega(self.g)
+
+    @_cached
+    def dominating(self) -> tuple[int, int] | None:
+        """The lattice masks of the subsets meeting every N[v] and every N(v),
+        the dominating and the totally dominating sets; None above
+        ``LATTICE_MAX_ORDER``."""
+        g = self.g
+        if g.n > LATTICE_MAX_ORDER:
+            return None
+        meeting = _lattice(g.n)[0]
+        closed = total = -1
+        for v, row in enumerate(g.adj):
+            closed &= meeting(row | 1 << v)
+            total &= meeting(row)
+        return closed, total
+
+    @_cached
+    def transversals(self) -> int | None:
+        """The lattice mask of the subsets meeting every set of Omega; None
+        above ``LATTICE_MAX_ORDER``."""
+        if self.g.n > LATTICE_MAX_ORDER:
+            return None
+        meeting = _lattice(self.g.n)[0]
+        out = -1
+        for s in self.family.sets:
+            out &= meeting(s)
+        return out
 
     @_cached
     def alpha(self) -> int:
@@ -584,7 +692,9 @@ class InvariantCache:
         size = getattr(self, key)
         if size is None:
             return iter(())
-        return _hitting_sets(*self._constraint(key), size)
+        if self.g.n > LATTICE_MAX_ORDER:
+            return _hitting_sets(*self._constraint(key), size)
+        return iter_bits(self._hitting(key) & _lattice(self.g.n)[1][size])
 
     def witnesses(self) -> dict[str, int | None]:
         """One optimal vertex mask per invariant: the least one by mask value

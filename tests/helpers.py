@@ -9,6 +9,7 @@ from typing import Sequence
 import networkx as nx
 
 from itdom import Graph, Graph6Error, InvariantCache, canonical_form, cycle, encode_graph6, is_connected, iter_bits
+from itdom import invariants
 from itdom.graphs import MAX_ORDER
 
 
@@ -55,6 +56,40 @@ def to_networkx(g: Graph) -> nx.Graph:
 def random_graph(rng: random.Random, n: int, p: float) -> Graph:
     edges = [(u, v) for u, v in combinations(range(n), 2) if rng.random() < p]
     return Graph(n, edges)
+
+
+def random_tree(rng: random.Random, n: int) -> Graph:
+    """Each vertex after the first hangs from a random earlier one."""
+    return Graph(n, [(v, rng.randrange(v)) for v in range(1, n)])
+
+
+def triangles(k: int) -> Graph:
+    """K3 x k: k disjoint triangles."""
+    edges = [(3 * i + a, 3 * i + b) for i in range(k) for a, b in ((0, 1), (0, 2), (1, 2))]
+    return Graph(3 * k, edges)
+
+
+def solver_paths(monkeypatch):
+    """Each solver path in turn, for a loop body to run on: the subset
+    lattice, which takes every graph up to ``LATTICE_MAX_ORDER``, then the
+    branch-and-bound kernel with its set index and Omega search, made to
+    take every graph by setting that order to 0 until the loop ends."""
+    with monkeypatch.context() as m:
+        yield "lattice"
+        m.setattr(invariants, "LATTICE_MAX_ORDER", 0)
+        yield "kernel"
+
+
+def above_lattice_graphs() -> list[Graph]:
+    """Seeded sparse, dense and tree graphs of each of the three orders
+    above ``LATTICE_MAX_ORDER``, where the branch-and-bound kernel runs."""
+    rng = random.Random(2017)
+    top = invariants.LATTICE_MAX_ORDER
+    return [
+        g
+        for n in range(top + 1, top + 4)
+        for g in (random_graph(rng, n, 0.25), random_graph(rng, n, 0.5), random_tree(rng, n))
+    ]
 
 
 def random_bipartite(rng: random.Random, a: int, b: int, p: float) -> Graph:

@@ -16,14 +16,14 @@ from pathlib import Path
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from itdom import bipartition, complement, complete, cycle, encode_graph6, parse_graph6, path, petersen
+from itdom import complement, complete, cycle, encode_graph6, parse_graph6, path, petersen
 from itdom import catalog, cli, invariants
 from itdom.catalog import CATALOG_SHA256
 from itdom.cli import main
 from itdom.invariants import SolverLimitError
 from itdom.theorems import CHECK_MAX_ORDER, THEOREMS, Status, Theorem, TheoremVerdict
 
-from helpers import canonical_graph6
+from helpers import above_lattice_graphs, canonical_graph6
 from oracle import naive_oracle
 
 FIXTURES = Path(__file__).parent / "fixtures"
@@ -847,26 +847,39 @@ def test_each_command_builds_one_set_index_per_graph(capsys, monkeypatch, tmp_pa
     built = []
     set_index = invariants.SetIndex
     monkeypatch.setattr(invariants, "SetIndex", lambda *fields: built.append(1) or set_index(*fields))
+    # Up to LATTICE_MAX_ORDER the subset lattice answers every command, and
+    # no index is built.
     catalog6 = catalog.enumerate_connected_graphs(6)
     corpus = tmp_path / "order6.g6"
     corpus.write_text("\n".join(catalog6) + "\n")
-    # The bipartite search evaluates the bipartite graphs alone.
-    bipartite = sum(bipartition(parse_graph6(g6)) is not None for g6 in catalog6)
-    for argv, graphs in [
-        (("invariants", "--corpus", str(corpus)), len(catalog6)),
-        (("verify", "--order", "6"), len(catalog6)),
-        # Each of these subsets reads Omega before gamma.
-        (("verify", "--order", "6", "--theorems", "EQ6"), len(catalog6)),
-        (("verify", "--order", "6", "--theorems", "SAND"), len(catalog6)),
-        (("verify", "--order", "6", "--theorems", "EQ1,EQ4"), len(catalog6)),
-        (("search", "max_tau_i", "--order", "6"), len(catalog6)),
-        (("search", "bipartite_half_gammait", "--order", "6"), bipartite),
-        (("counterexamples",), 2),
+    for argv in [
+        ("invariants", "--corpus", str(corpus)),
+        ("verify", "--order", "6"),
+        ("verify", "--order", "6", "--theorems", "EQ6"),
+        ("search", "max_tau_i", "--order", "6"),
+        ("search", "bipartite_half_gammait", "--order", "6"),
+        ("counterexamples",),
     ]:
         built.clear()
         code, _, _ = run_cli(capsys, *argv, "--jobs", "1")
         assert code == 0
-        assert len(built) == graphs, argv
+        assert built == [], argv
+    # Above it, each graph is indexed once, Omega included.
+    above = [encode_graph6(g) for g in above_lattice_graphs()]
+    corpus = tmp_path / "above.g6"
+    corpus.write_text("\n".join(above) + "\n")
+    for argv in [
+        ("invariants", "--corpus", str(corpus)),
+        ("verify", "--corpus", str(corpus)),
+        # Each of these subsets reads Omega before gamma.
+        ("verify", "--corpus", str(corpus), "--theorems", "EQ6"),
+        ("verify", "--corpus", str(corpus), "--theorems", "SAND"),
+        ("verify", "--corpus", str(corpus), "--theorems", "EQ1,EQ4"),
+    ]:
+        built.clear()
+        code, _, _ = run_cli(capsys, *argv, "--jobs", "1")
+        assert code == 0
+        assert len(built) == len(above), argv
 
 
 def test_every_package_module_is_reachable_from_the_cli():

@@ -4,11 +4,13 @@ The definitional oracle stops at small orders, so at orders 17-32 the
 values are pinned by identities that hold for every graph (relabeling,
 disjoint unions), by an unpruned reference search, and on complements of
 bipartite graphs by Konig's theorem through Lemma 2.1.  At small orders
-every optimum list is compared with a plain sweep over the k-subsets.
+every optimum list is compared with a plain sweep over the k-subsets, on
+the subset lattice and on the branch-and-bound kernel, and the two paths
+are compared with each other up to the largest order the lattice takes.
 """
 
 import random
-from itertools import combinations
+from itertools import combinations, islice
 
 import networkx as nx
 from hypothesis import assume, given, settings, strategies as st
@@ -19,14 +21,25 @@ from itdom import (
     Status,
     check,
     complement,
+    corona,
+    encode_graph6,
     enumerate_graphs,
     iter_bits,
     mask_of,
     omega,
     parse_graph6,
 )
+from itdom import invariants
 
-from helpers import disjoint_union, permute, random_graph, to_networkx
+from helpers import (
+    disjoint_union,
+    permute,
+    random_graph,
+    random_tree,
+    solver_paths,
+    to_networkx,
+    triangles,
+)
 
 KEYS = ("gamma", "tau_i", "gamma_it", "gamma_t", "gamma_tt")
 
@@ -145,29 +158,70 @@ def _brute_omega(g: Graph) -> list[int]:
     return [s for s in independent if s.bit_count() == alpha]
 
 
-def _assert_optima_are_the_sorted_sweep(g: Graph):
-    cache = InvariantCache(g)
+def _assert_optima_are_the_sorted_sweep(g: Graph, monkeypatch):
     fams = families(g, _brute_omega(g))
-    for key in KEYS:
-        k = getattr(cache, key)
-        expected = []
-        if k is not None:
-            expected = sorted(
-                mask
-                for mask in map(mask_of, combinations(range(g.n), k))
-                if all(mask & s for s in fams[key])
-            )
-        assert list(cache.optima(key)) == expected, (key, g.adj)
+    for path in solver_paths(monkeypatch):
+        cache = InvariantCache(g)
+        for key in KEYS:
+            k = getattr(cache, key)
+            expected = []
+            if k is not None:
+                expected = sorted(
+                    mask
+                    for mask in map(mask_of, combinations(range(g.n), k))
+                    if all(mask & s for s in fams[key])
+                )
+            assert list(cache.optima(key)) == expected, (path, key, g.adj)
 
 
-def test_optima_are_the_sorted_sweep_on_every_small_graph():
+def test_optima_are_the_sorted_sweep_on_every_small_graph(monkeypatch):
     for n in range(1, 7):
         for g in map(parse_graph6, enumerate_graphs(n)):
-            _assert_optima_are_the_sorted_sweep(g)
+            _assert_optima_are_the_sorted_sweep(g, monkeypatch)
 
 
-def test_optima_are_the_sorted_sweep_on_random_graphs():
+def test_optima_are_the_sorted_sweep_on_random_graphs(monkeypatch):
     rng = random.Random(909)
     for _ in range(80):
         n = rng.randint(7, 12)
-        _assert_optima_are_the_sorted_sweep(random_graph(rng, n, rng.choice((0.15, 0.3, 0.5))))
+        g = random_graph(rng, n, rng.choice((0.15, 0.3, 0.5)))
+        _assert_optima_are_the_sorted_sweep(g, monkeypatch)
+
+
+def _solved(g: Graph, count: int) -> tuple:
+    """Omega, and each value with its first ``count`` optima."""
+    cache = InvariantCache(g)
+    return cache.family, [(getattr(cache, key), list(islice(cache.optima(key), count))) for key in KEYS]
+
+
+def _assert_paths_agree(graphs: list[Graph], count: int, monkeypatch):
+    lattice = [_solved(g, count) for g in graphs]
+    monkeypatch.setattr(invariants, "LATTICE_MAX_ORDER", 0)
+    for g, expected in zip(graphs, lattice):
+        assert _solved(g, count) == expected, encode_graph6(g)
+
+
+def test_paths_agree_on_every_graph_to_order_8(monkeypatch):
+    # Omega, every value and its least witness.
+    graphs = [parse_graph6(g6) for n in range(1, 9) for g6 in enumerate_graphs(n)]
+    assert len(graphs) == 13598
+    _assert_paths_agree(graphs, 1, monkeypatch)
+
+
+def test_paths_agree_up_to_the_lattice_order(monkeypatch):
+    # Omega, every value and its first 20 optima: every optimum where they
+    # are few.  A graph of at most 16 vertices has at most 324 maximum
+    # independent sets (Moon and Moser), so Omega never reaches its cap here.
+    rng = random.Random(22)
+    top = invariants.LATTICE_MAX_ORDER
+    graphs = [
+        random_graph(rng, n, p)
+        for n in range(9, top + 1)
+        for p in (0.1, 0.2, 0.3, 0.4, 0.5, 0.6, 0.7, 0.8, 0.9)
+        for _ in range(3)
+    ]
+    graphs += [random_tree(rng, n) for n in range(9, top + 1) for _ in range(2)]
+    graphs += [corona(random_graph(rng, k, 0.5)) for k in range(1, top // 2 + 1)]
+    graphs += [corona(random_tree(rng, k)) for k in range(1, top // 2 + 1)]
+    graphs += [triangles(k) for k in range(1, top // 3 + 1)]
+    _assert_paths_agree(graphs, 20, monkeypatch)

@@ -45,7 +45,10 @@ from helpers import (
     least_mask,
     random_bipartite,
     random_graph,
+    random_tree,
+    solver_paths,
     to_networkx,
+    triangles,
 )
 
 
@@ -72,12 +75,6 @@ def test_omega_edgeless_and_k1():
     fam = omega(Graph(4))
     assert fam.alpha == 4 and fam.sets == (0b1111,)
     assert omega(Graph(1)).sets == (1,)
-
-
-def triangles(k: int) -> Graph:
-    """K3 x k: k disjoint triangles."""
-    edges = [(3 * i + a, 3 * i + b) for i in range(k) for a, b in ((0, 1), (0, 2), (1, 2))]
-    return Graph(3 * k, edges)
 
 
 def test_omega_cap(monkeypatch):
@@ -126,7 +123,7 @@ def test_omega_counts_past_the_oracle():
 def test_omega_is_the_maximum_cliques_of_the_complement():
     rng = random.Random(1704)
     graphs = [random_graph(rng, rng.randint(20, 40), rng.uniform(0.15, 0.7)) for _ in range(20)]
-    graphs += [Graph(40, [(v, rng.randrange(v)) for v in range(1, 40)]) for _ in range(5)]
+    graphs += [random_tree(rng, 40) for _ in range(5)]
     for g in graphs:
         # to_networkx holds all n vertices before complementing, so isolated
         # vertices of the complement are its one-vertex cliques.
@@ -399,19 +396,21 @@ def _assert_least_witnesses(g):
     assert gamma_it_sets(g) == (report.gamma_it, tuple(optima))
 
 
-def test_report_witnesses_are_least_masks_on_catalog():
+def test_report_witnesses_are_least_masks_on_catalog(monkeypatch):
     for n in range(1, 7):
         for g in map(parse_graph6, enumerate_connected_graphs(n)):
-            _assert_least_witnesses(g)
+            for path in solver_paths(monkeypatch):
+                _assert_least_witnesses(g)
 
 
-def test_report_witnesses_are_least_masks_on_random_graphs():
+def test_report_witnesses_are_least_masks_on_random_graphs(monkeypatch):
     rng = random.Random(4242)
     isolated = 0
     for _ in range(120):
         g = random_graph(rng, rng.randint(1, 12), rng.choice((0.1, 0.25, 0.4, 0.6)))
         isolated += bool(g.isolated())
-        _assert_least_witnesses(g)
+        for path in solver_paths(monkeypatch):
+            _assert_least_witnesses(g)
     assert isolated > 10
 
 

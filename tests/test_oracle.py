@@ -23,7 +23,7 @@ from itdom import (
 )
 
 import oracle
-from helpers import random_graph
+from helpers import random_graph, solver_paths
 from oracle import ORACLE_IDS, OracleLimitError, naive_oracle
 
 SOLVERS = {
@@ -74,17 +74,18 @@ def test_oracle_imports_only_graphs_from_the_package():
     assert package_imports == {"itdom.graphs"}
 
 
-def test_all_solvers_match_oracle_on_seeded_random_graphs():
+def test_all_solvers_match_oracle_on_seeded_random_graphs(monkeypatch):
     rng = random.Random(90210)
     for _ in range(120):
         n = rng.randint(1, 10)
         g = random_graph(rng, n, rng.choice([0.15, 0.3, 0.5, 0.75]))
         oracle = naive_oracle(g)
-        for which, solver in SOLVERS.items():
-            assert solver(g) == oracle[which], (which, g.edges(), n)
+        for path in solver_paths(monkeypatch):
+            for which, solver in SOLVERS.items():
+                assert solver(g) == oracle[which], (path, which, g.edges(), n)
 
 
-def test_omega_family_matches_naive_enumeration():
+def test_omega_family_matches_naive_enumeration(monkeypatch):
     rng = random.Random(808)
     for _ in range(60):
         g = random_graph(rng, rng.randint(1, 9), 0.4)
@@ -94,6 +95,7 @@ def test_omega_family_matches_naive_enumeration():
             for s in combinations(range(g.n), alpha)
             if not any(g.adj[u] >> v & 1 for u, v in combinations(s, 2))
         ]
-        fam = omega(g)
-        assert fam.alpha == alpha
-        assert sorted(fam.sets) == sorted(sum(1 << v for v in s) for s in sets)
+        for path in solver_paths(monkeypatch):
+            fam = omega(g)
+            assert fam.alpha == alpha, path
+            assert sorted(fam.sets) == sorted(sum(1 << v for v in s) for s in sets), path

@@ -21,6 +21,7 @@ from itdom import (
     complement,
     complete,
     components,
+    compute_report,
     corona,
     cycle,
     domination_number,
@@ -40,10 +41,11 @@ from itdom import (
     star,
     tau_i,
 )
+from itdom import invariants
 from itdom.invariants import SolverLimitError
 from itdom.theorems import CHECK_MAX_ORDER, InvariantCache, _component_shape, _theorem
 
-from helpers import canonical_graph6, is_c4, random_graph, to_networkx
+from helpers import above_lattice_graphs, canonical_graph6, is_c4, random_bipartite, random_graph, to_networkx
 from oracle import naive_oracle
 
 
@@ -388,8 +390,31 @@ def test_package_checks_survive_optimization():
 
 
 def test_every_check_reads_one_index():
-    # Every check after EQ1 finds Omega known, so no index without it is built.
+    # Up to LATTICE_MAX_ORDER the subset lattice answers every check.
     for g in map(parse_graph6, enumerate_graphs(6)):
         cache = InvariantCache(g)
         check_many(tuple(THEOREMS), g, cache)
+        assert "index" not in cache.__dict__ and "local_index" not in cache.__dict__
+    # Above it, every check after EQ1 finds Omega known, so no index without
+    # it is built.
+    for g in above_lattice_graphs():
+        cache = InvariantCache(g)
+        check_many(tuple(THEOREMS), g, cache)
         assert "index" in cache.__dict__ and "local_index" not in cache.__dict__
+
+
+def test_no_lattice_table_above_the_lattice_order():
+    # The bench replay reads every cached property of the evaluator, so none
+    # may build a 2^n-bit table where the kernel runs.  The complement of a
+    # bipartite graph reaches Lemma 2.1's Omega of the complement.
+    invariants._lattice.cache_clear()
+    n = invariants.LATTICE_MAX_ORDER + 1
+    rng = random.Random(n)
+    for g in (random_graph(rng, n, 0.3), complement(random_bipartite(rng, n // 2, n - n // 2, 0.5))):
+        compute_report(g)
+        cache = InvariantCache(g)
+        for name, value in vars(InvariantCache).items():
+            if isinstance(value, functools.cached_property):
+                getattr(cache, name)
+        check_many(tuple(THEOREMS), g, cache)
+    assert invariants._lattice.cache_info().currsize == 0
