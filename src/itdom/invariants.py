@@ -25,11 +25,11 @@ bound of exact dominating-set search, van Rooij and Bodlaender, Discrete
 Appl. Math. 159, 2011).  The value search also
 keeps the counting bound ceil(#unhit / widest) as its first test, and
 packs only when, at the root, packing beats counting.
-Once Omega is known, every search reads one index of N[v], N(v) and
-Omega, built by one builder (``_index``) in time linear in the number of
-sets; ``gamma`` and ``gamma_t`` asked before Omega is known read an index
-of N[v] and N(v) alone, so they never enumerate Omega, and a graph asked
-for ``gamma`` before an invariant of Omega is indexed twice.
+On both paths ``gamma`` and ``gamma_t`` read N[v] and N(v) alone, so they
+never enumerate Omega, and ``tau_i``, ``gamma_it`` and ``gamma_tt`` read
+Omega too.  Above the lattice order the first two search one index of
+N[v] and N(v), the last three one of N[v], N(v) and Omega, each built by
+``_index`` in time linear in the number of sets.
 
 ``InvariantCache`` is the single evaluator: it computes each invariant of a
 graph at most once, and the public functions and ``compute_report`` read it.
@@ -550,9 +550,9 @@ class InvariantCache:
 
     def _constraint(self, key: str) -> tuple[SetIndex, int]:
         """The index and the mask of the sets the invariant ``key`` must meet:
-        ``local_index`` while Omega is neither needed nor known."""
+        ``index`` for an invariant of Omega, ``local_index`` for the others."""
         numbers = self._CONSTRAINTS[key]
-        index = self.index if 2 in numbers or "family" in self.__dict__ else self.local_index
+        index = self.index if 2 in numbers else self.local_index
         return index, sum(index.families[f] for f in numbers)  # disjoint masks
 
     def _hitting(self, key: str) -> int:
@@ -578,7 +578,7 @@ class InvariantCache:
 
     @_cached
     def local_index(self) -> SetIndex:
-        # N[v] and N(v) without Omega, so that gamma and gamma_t alone never
+        # N[v] and N(v) without Omega, so that gamma and gamma_t never
         # enumerate it: 12 disjoint triangles have 3^12 maximum independent
         # sets, which take seconds to list and index, and 13 have more than
         # DEFAULT_OMEGA_CAP, while gamma of either is found in a millisecond.
@@ -652,7 +652,6 @@ class InvariantCache:
 
     @_cached
     def gamma_it(self) -> int:
-        # tau_i first: it computes Omega, so that gamma reads the one index.
         return self._least("gamma_it", max(self.tau_i, self.gamma))
 
     @_cached

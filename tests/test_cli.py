@@ -843,10 +843,12 @@ def test_broken_pipe_is_not_an_internal_error(capsys, monkeypatch, jobs):
     assert capsys.readouterr().err == ""
 
 
-def test_each_command_builds_one_set_index_per_graph(capsys, monkeypatch, tmp_path):
+def test_each_command_builds_one_set_index_of_each_kind_per_graph(capsys, monkeypatch, tmp_path):
+    # Each build records its number of families: 2 for N[v] and N(v), 3 when
+    # Omega is indexed with them.
     built = []
     set_index = invariants.SetIndex
-    monkeypatch.setattr(invariants, "SetIndex", lambda *fields: built.append(1) or set_index(*fields))
+    monkeypatch.setattr(invariants, "SetIndex", lambda *fields: built.append(len(fields[2])) or set_index(*fields))
     # Up to LATTICE_MAX_ORDER the subset lattice answers every command, and
     # no index is built.
     catalog6 = catalog.enumerate_connected_graphs(6)
@@ -864,22 +866,28 @@ def test_each_command_builds_one_set_index_per_graph(capsys, monkeypatch, tmp_pa
         code, _, _ = run_cli(capsys, *argv, "--jobs", "1")
         assert code == 0
         assert built == [], argv
-    # Above it, each graph is indexed once, Omega included.
+    # Above it, a command reading gamma and an invariant of Omega indexes
+    # each graph once without Omega and once with it.
     above = [encode_graph6(g) for g in above_lattice_graphs()]
     corpus = tmp_path / "above.g6"
     corpus.write_text("\n".join(above) + "\n")
     for argv in [
         ("invariants", "--corpus", str(corpus)),
         ("verify", "--corpus", str(corpus)),
-        # Each of these subsets reads Omega before gamma.
         ("verify", "--corpus", str(corpus), "--theorems", "EQ6"),
         ("verify", "--corpus", str(corpus), "--theorems", "SAND"),
-        ("verify", "--corpus", str(corpus), "--theorems", "EQ1,EQ4"),
     ]:
         built.clear()
         code, _, _ = run_cli(capsys, *argv, "--jobs", "1")
         assert code == 0
-        assert len(built) == len(above), argv
+        assert sorted(built) == [2] * len(above) + [3] * len(above), argv
+    # Checks that read gamma or gamma_t but no invariant of Omega never index
+    # it, even where they list Omega for alpha (EQ1).
+    for theorems in ("EQ1,EQ4", "T3.3", "T4.1"):
+        built.clear()
+        code, _, _ = run_cli(capsys, "verify", "--corpus", str(corpus), "--theorems", theorems, "--jobs", "1")
+        assert code == 0
+        assert set(built) == {2} and len(built) <= len(above), theorems
 
 
 def test_every_package_module_is_reachable_from_the_cli():

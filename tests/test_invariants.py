@@ -39,6 +39,7 @@ from itdom import (
 from itdom import invariants
 
 from helpers import (
+    above_lattice_graphs,
     dominates,
     gamma_it_sets,
     ksubsets,
@@ -424,10 +425,27 @@ def test_report_matching_and_sandwich_over_catalog():
 
 def test_gamma_alone_never_enumerates_omega():
     # 13 disjoint triangles: 3^13 maximum independent sets, more than the cap.
-    c = InvariantCache(triangles(13))
+    k3 = triangles(13)
+    c = InvariantCache(k3)
     assert c.gamma == 13
     assert "family" not in c.__dict__ and "index" not in c.__dict__
     assert 3**13 > invariants.DEFAULT_OMEGA_CAP
+    # The same triangles and one vertex joined to all 39 others: that vertex
+    # and any other totally dominate, and Omega is still the triangles'.
+    c = InvariantCache(Graph(40, list(k3.edges()) + [(v, 39) for v in range(39)]))
+    assert c.gamma_t == 2
+    assert "family" not in c.__dict__ and "index" not in c.__dict__
+
+
+def test_gamma_reads_the_omega_free_index_after_omega_is_indexed():
+    # Which index a search reads is fixed by its invariant, not by what the
+    # evaluator already holds.
+    for g in above_lattice_graphs():
+        c = InvariantCache(g)
+        c.tau_i
+        assert "index" in c.__dict__ and "local_index" not in c.__dict__
+        assert c.gamma == InvariantCache(g).gamma
+        assert "local_index" in c.__dict__
 
 
 @pytest.mark.parametrize("n", [1, 8, 13, 32])

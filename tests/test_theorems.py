@@ -389,18 +389,18 @@ def test_package_checks_survive_optimization():
         assert not any(isinstance(node, ast.Assert) for node in ast.walk(tree)), source.name
 
 
-def test_every_check_reads_one_index():
+def test_all_checks_build_no_index_on_the_lattice_and_both_above_it():
     # Up to LATTICE_MAX_ORDER the subset lattice answers every check.
     for g in map(parse_graph6, enumerate_graphs(6)):
         cache = InvariantCache(g)
         check_many(tuple(THEOREMS), g, cache)
         assert "index" not in cache.__dict__ and "local_index" not in cache.__dict__
-    # Above it, every check after EQ1 finds Omega known, so no index without
-    # it is built.
+    # Above it, gamma and gamma_t search the index without Omega and the
+    # invariants of Omega the one with it, and the checks read both kinds.
     for g in above_lattice_graphs():
         cache = InvariantCache(g)
         check_many(tuple(THEOREMS), g, cache)
-        assert "index" in cache.__dict__ and "local_index" not in cache.__dict__
+        assert "index" in cache.__dict__ and "local_index" in cache.__dict__
 
 
 def test_no_lattice_table_above_the_lattice_order():
