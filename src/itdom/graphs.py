@@ -288,7 +288,7 @@ def parse_edge_list(text: str) -> Graph:
 
 def complement(g: Graph) -> Graph:
     full = g.full_mask
-    return Graph.from_adjacency([full & ~g.adj[v] & ~(1 << v) for v in range(g.n)])
+    return Graph._trusted([full & ~g.adj[v] & ~(1 << v) for v in range(g.n)])
 
 
 def corona(h: Graph) -> Graph:

@@ -64,12 +64,6 @@ def pendant_condition(g: Graph, x_mask: int) -> CharacterizationResult:
     )
 
 
-def _strict_pendant_condition(g: Graph, x_mask: int) -> bool:
-    # Original, incomplete form: two pendant neighbors required of every x.
-    pend = pendant_vertices(g)
-    return all((g.adj[v] & pend).bit_count() >= 2 for v in iter_bits(x_mask))
-
-
 def is_corona(g: Graph) -> Graph | None:
     """Recover H when g is H with one pendant attached to every vertex.
 
@@ -239,8 +233,7 @@ def _t26(g: Graph, c: InvariantCache):
 def _tree(g: Graph, c: InvariantCache):
     if not c.connected or c.m != g.n - 1:
         return None, {"reason": "not a tree"}
-    ok = c.gamma_it in (c.gamma, c.gamma + 1)
-    return ok, {"gamma_it": c.gamma_it, "gamma": c.gamma}
+    return _t26(g, c)  # a tree is connected and bipartite
 
 
 @_theorem("SAND", "proven", "connected: gamma <= gamma_it <= gamma + delta")
@@ -301,8 +294,9 @@ def _t32(g: Graph, c: InvariantCache):
     "has two pendant neighbors",
 )
 def _t31_orig(g: Graph, c: InvariantCache):
+    # T3.2's condition without its exemption: a pendant x lacks two pendant neighbors.
     def condition(x: int):
-        holds = _strict_pendant_condition(g, x)
+        holds = not x & pendant_vertices(g) and pendant_condition(g, x).holds
         return holds, {"strict_condition_holds": holds}
 
     return _side_check(c, condition)

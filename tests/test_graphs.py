@@ -81,6 +81,8 @@ def test_complement_involution_and_edge_count():
         g = random_graph(rng, rng.randint(0, 12), rng.random())
         assert complement(complement(g)) == g
         assert g.m + complement(g).m == g.n * (g.n - 1) // 2
+        # complement skips from_adjacency's validation; its rows must pass it.
+        assert Graph.from_adjacency(complement(g).adj) == complement(g)
 
 
 def test_complement_c5_self_complementary():

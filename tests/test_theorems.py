@@ -195,6 +195,12 @@ def test_figure1_splits_the_two_conditions():
     assert witness["gamma_it"] == witness["gamma"] + 1
 
 
+def _original_condition(g, x_mask):
+    """The source paper's original condition: every x in X has at least two pendant neighbors."""
+    pendant = {v for v in range(g.n) if g.degree(v) == 1}
+    return all(len(pendant & set(members(g.adj[x]))) >= 2 for x in members(x_mask))
+
+
 def test_figure1_is_a_minimal_counterexample_to_the_original_claim():
     # Exhaustive sweep over connected bipartite graphs with a side of size 2:
     # the stated properties (gamma = 2 = |X|, gamma_it = 3, some vertex of X
@@ -204,11 +210,9 @@ def test_figure1_is_a_minimal_counterexample_to_the_original_claim():
         bip = bipartition(g)
         if bip is None or domination_number(g) != 2 or gamma_it(g)[0] != 3:
             return False
-        from itdom.theorems import _strict_pendant_condition
-
         for x, y in ((bip.x, bip.y), (bip.y, bip.x)):
             if x.bit_count() == 2 and x.bit_count() <= y.bit_count():
-                if not _strict_pendant_condition(g, x):
+                if not _original_condition(g, x):
                     return True
         return False
 
@@ -296,6 +300,38 @@ def test_original_theorem_3_1_violations_through_order_8():
         strict = all(len(pendant & set(members(g.adj[x]))) >= 2 for x in witness["X"])
         assert strict == witness["strict_condition_holds"]
         assert (oracle["gamma_it"] == oracle["gamma"] + 1) != strict
+
+
+def test_tree_and_t31_orig_match_their_literal_definitions_through_order_8():
+    # TREE is T2.6 on trees; T3.1-ORIG is recomputed from the original
+    # condition over the sides X with |X| <= |Y| and gamma = |X|.
+    for n in range(1, 9):
+        for g6 in enumerate_graphs(n):
+            g = parse_graph6(g6)
+            cache = InvariantCache(g)
+            tree, t26, orig = check_many(("TREE", "T2.6", "T3.1-ORIG"), g, cache)
+            if nx.is_tree(to_networkx(g)):
+                assert (tree.status, tree.witness) == (t26.status, t26.witness), g6
+            else:
+                assert (tree.status, tree.witness) == (Status.NOT_APPLICABLE, {"reason": "not a tree"}), g6
+            bip = bipartition(g)
+            if bip is None:
+                assert orig.status is Status.NOT_APPLICABLE, g6
+                continue
+            sides = [
+                x
+                for x, y in ((bip.x, bip.y), (bip.y, bip.x))
+                if x.bit_count() <= y.bit_count() and cache.gamma == x.bit_count()
+            ]
+            jump = bool(sides) and cache.gamma_it == cache.gamma + 1
+            failing = [x for x in sides if _original_condition(g, x) != jump]
+            expected = (
+                Status.NOT_APPLICABLE if not sides else Status.VIOLATED if failing else Status.HOLDS
+            )
+            assert orig.status is expected, g6
+            if failing:
+                assert orig.witness["X"] == members(failing[0]), g6
+                assert orig.witness["strict_condition_holds"] is (not jump), g6
 
 
 def test_pendant_condition_star():
