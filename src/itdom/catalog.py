@@ -18,13 +18,23 @@ read from a cache.  The catalogs are generated orderly (Read, "Every one
 a winner", 1978).  Deleting the last label of a canonical graph leaves a
 canonical graph, so each canonical graph on n vertices is one new column
 added to exactly one line of the previous catalog: every such child is
-built, and kept iff it is canonical.  The connected catalog is a filter
-of the full one.
+built, and kept iff it is canonical.  Each parent's children are found
+on their own (``canonical_children``), so a caller may split the parents
+across processes.  The connected catalog is a filter of the full one.
+
+Both searches are pruned by twin transpositions (McKay, "Practical graph
+isomorphism", 1981): two vertices with the same neighbours apart from
+each other are twins, and swapping them is an automorphism.  The labeling
+walk extends a prefix by no vertex that has a lower free twin, whose
+extension reaches the same column sequences, so the minimum stays
+reachable.  The children skip every new column that meets a parent twin u
+but not a parent twin v > u: swapping u and v keeps the parent's columns
+and lowers the new one, so such a child is never canonical.
 """
 
 from __future__ import annotations
 
-from collections.abc import Iterable, Iterator
+from collections.abc import Callable, Iterable, Iterator
 from functools import lru_cache
 
 from .graphs import Graph, graph6_column, is_connected, pack_graph6, parse_graph6
@@ -44,6 +54,23 @@ CATALOG_SHA256 = {
     8: "e1aed63b07ff72557885ee1244044d6ad30ba1b182f74cc7bcb7a02da8d34867",
 }
 CATALOG_MAX_ORDER = max(CATALOG_SHA256)
+
+
+def _lower_twins(adj: tuple[int, ...]) -> list[int]:
+    """For each vertex v, the mask of its twins u < v: the vertices with the
+    same neighbours as v apart from v itself, so that swapping u and v is an
+    automorphism.  False twins have equal rows, true twins equal rows once
+    each row holds its own vertex."""
+    lower = []
+    by_open: dict[int, int] = {}
+    by_closed: dict[int, int] = {}
+    for v, row in enumerate(adj):
+        bit = 1 << v
+        shut = row | bit
+        lower.append(by_open.get(row, 0) | by_closed.get(shut, 0))
+        by_open[row] = by_open.get(row, 0) | bit
+        by_closed[shut] = by_closed.get(shut, 0) | bit
+    return lower
 
 
 def _canonical_cols(
@@ -67,11 +94,21 @@ def _canonical_cols(
     Only when ``v`` was the sole vertex of ``reach`` is the walk redone.
     Given ``bound``, each level keeps the prefixes attaining the bound's
     column, and the walk returns at the first column below it.
+
+    A prefix is not extended by ``v`` while a twin of ``v`` with a lower
+    label is free.  Free twins have the same column over the placed
+    vertices, so that twin is in ``reach`` with ``v``, and swapping the two
+    is an automorphism fixing every placed vertex: it maps the prefix
+    extended by ``v`` onto the prefix extended by the twin, column sequence
+    for column sequence.  Every column sequence stays reachable, so neither
+    the minimum nor the ``None`` under ``bound`` changes, and the frontier
+    of the empty or complete graph is one prefix wide instead of n!.
     """
     if n <= 1:
         return ()
     full = (1 << n) - 1
     non = [full ^ row for row in adj]
+    lower = _lower_twins(adj)
     # (placed, free, reach): reach holds the free vertices attaining the least next column
     frontier: list[tuple[tuple[int, ...], int, int]] = [((), full, full)]
     cols: list[int] = []
@@ -86,6 +123,8 @@ def _canonical_cols(
                 bit = m & -m
                 m ^= bit
                 v = bit.bit_length() - 1
+                if reach & lower[v]:
+                    continue  # a lower twin of v is free: its extension reaches the same columns
                 rest = reach ^ bit
                 if rest:
                     col = prev
@@ -128,12 +167,21 @@ def canonical_form(g: Graph) -> Graph:
 
 
 def _children(padj: tuple[int, ...], m: int) -> Iterator[tuple[tuple[int, ...], tuple[int, ...]]]:
-    """(columns, adjacency) of each extension of canonical ``padj`` that may be canonical."""
+    """(columns, adjacency) of each extension of canonical ``padj`` that may be canonical.
+
+    A new column that meets a twin u of the parent but not a twin v > u is
+    skipped: swapping u and v fixes the parent's columns, being a parent
+    automorphism, and moves the column's bit from u to v, a less
+    significant place, so the child has a relabeling below its own columns.
+    """
     pcols = tuple(graph6_column(padj[j], j) for j in range(1, m))
     last = pcols[-1] if pcols else 0
+    twins = [(1 << v, lower) for v, lower in enumerate(_lower_twins(padj)) if lower]
     # below last << 1, swapping labels m - 1 and m puts col >> 1 < last in column m - 1
     for col in range(last << 1, 1 << m):
         row = graph6_column(col, m)
+        if any(row & lower and not row & bit for bit, lower in twins):
+            continue
         child = tuple(r | ((row >> v) & 1) << m for v, r in enumerate(padj)) + (row,)
         yield pcols + (col,), child
 
@@ -152,25 +200,39 @@ def read_catalog(n: int, text: bytes) -> tuple[str, ...] | None:
     return tuple(text.decode().splitlines())
 
 
-@lru_cache(maxsize=None)
-def enumerate_graphs(n: int) -> tuple[str, ...]:
-    """All graphs on n vertices (connected or not), one canonical graph6 line
-    each, sorted; RuntimeError unless their text hashes to ``CATALOG_SHA256[n]``."""
+def canonical_children(parent: str) -> list[str]:
+    """The canonical graph6 lines of the children of one catalog line."""
+    padj = parse_graph6(parent).adj
+    m = len(padj)
+    return [
+        pack_graph6(cols, m + 1)
+        for cols, child in _children(padj, m)
+        if _canonical_cols(child, m + 1, cols) is not None
+    ]
+
+
+def generate_graphs(n: int, map_parents: Callable = map) -> tuple[str, ...]:
+    """The order-n catalog generated from ``enumerate_graphs(n - 1)``, with
+    ``map_parents(canonical_children, parents)`` yielding each parent's
+    children; RuntimeError unless its text hashes to ``CATALOG_SHA256[n]``."""
     if not 1 <= n <= CATALOG_MAX_ORDER:
         raise ValueError(f"catalog order must be in [1, {CATALOG_MAX_ORDER}], got {n}")
     if n == 1:
         lines = [pack_graph6((), 1)]
     else:
-        lines = [
-            pack_graph6(cols, n)
-            for parent in enumerate_graphs(n - 1)
-            for cols, child in _children(parse_graph6(parent).adj, n - 1)
-            if _canonical_cols(child, n, cols) is not None
-        ]
+        found = map_parents(canonical_children, enumerate_graphs(n - 1))
+        lines = [line for children in found for line in children]
     pinned = read_catalog(n, catalog_text(sorted(lines)))
     if pinned is None:
         raise RuntimeError(f"order-{n} catalog does not match its pinned SHA-256")
     return pinned
+
+
+@lru_cache(maxsize=None)
+def enumerate_graphs(n: int) -> tuple[str, ...]:
+    """All graphs on n vertices (connected or not), one canonical graph6 line
+    each, sorted; RuntimeError unless their text hashes to ``CATALOG_SHA256[n]``."""
+    return generate_graphs(n)
 
 
 def connected_lines(lines: Iterable[str]) -> tuple[str, ...]:

@@ -72,7 +72,8 @@ def _catalog_order(n: int) -> int:
 def _corpus_lines(path: str | None) -> list[str]:
     """The corpus (graph6 lines, or a single edge-list graph when the header
     is numeric) as sorted graph6 lines, once every graph passed the order
-    guards; the parsed graphs are not kept.
+    guards; each parsed graph is dropped once its order is read, so the
+    corpus is held only as text.
 
     A graph6 line that ``parse_graph6`` accepts is its own encoding, so
     only an edge-list graph is encoded.
@@ -82,21 +83,21 @@ def _corpus_lines(path: str | None) -> list[str]:
     except (OSError, UnicodeDecodeError) as exc:
         raise UsageError(f"cannot read corpus {path}: {exc}") from exc
     lines = [ln.strip() for ln in text.splitlines() if ln.strip()]
+    edge_list = None
     try:
         if lines and lines[0][0].isdigit():
-            corpus = [(parse_edge_list(text), None)]
+            edge_list = parse_edge_list(text)
+            orders = [edge_list.n]
         else:
-            corpus = [(parse_graph6(ln), ln) for ln in lines]
+            orders = [parse_graph6(ln).n for ln in lines]
     except ValueError as exc:  # Graph6Error, EdgeListError, or an order Graph rejects
         raise UsageError(str(exc)) from exc
-    for g, _ in corpus:
-        if g.n == 0:
+    for n in orders:
+        if n == 0:
             raise UsageError("order-0 graphs are not accepted by this command")
-        if g.n > CHECK_MAX_ORDER:
-            raise SolverLimitError(
-                f"graph of order {g.n} exceeds the command limit of {CHECK_MAX_ORDER}"
-            )
-    return sorted(encode_graph6(g) if ln is None else ln for g, ln in corpus)
+        if n > CHECK_MAX_ORDER:
+            raise SolverLimitError(f"graph of order {n} exceeds the command limit of {CHECK_MAX_ORDER}")
+    return [encode_graph6(edge_list)] if edge_list is not None else sorted(lines)
 
 
 # ---------------------------------------------------------------------------
@@ -110,22 +111,23 @@ def _cache_dir() -> Path:
     return base / "itdom"
 
 
-def _all_graph_lines(n: int) -> list[str]:
+def _all_graph_lines(n: int, jobs: int) -> list[str]:
     """The order-n catalog of all graphs, kept on disk as one file per order.
 
     The file is named by the catalog's pinned SHA-256 and read only when its
     bytes have that digest, so a missing, truncated or foreign file is a
-    miss, and the catalog is regenerated in its place.  A cache that cannot
+    miss, and the catalog is regenerated in its place, its parents (the
+    order n - 1 lines) split across ``jobs`` workers.  A cache that cannot
     be read is a miss too; one that cannot be written is noted on stderr.
     """
-    from .catalog import CATALOG_SHA256, catalog_text, enumerate_graphs, read_catalog
+    from .catalog import CATALOG_SHA256, catalog_text, generate_graphs, read_catalog
 
     path = _cache_dir() / f"catalog-v1-n{n}-{CATALOG_SHA256[n]}.g6"
     with contextlib.suppress(OSError):
         cached = read_catalog(n, path.read_bytes())
         if cached is not None:
             return list(cached)
-    lines = enumerate_graphs(n)
+    lines = generate_graphs(n, partial(_map_tasks, jobs=jobs))
     tmp = path.with_suffix(f".{os.getpid()}.tmp")  # no clash between processes
     try:
         path.parent.mkdir(parents=True, exist_ok=True)
@@ -138,14 +140,15 @@ def _all_graph_lines(n: int) -> list[str]:
     return list(lines)
 
 
-def catalog_lines(n: int, connected: bool = True) -> list[str]:
+def catalog_lines(n: int, connected: bool = True, jobs: int = 1) -> list[str]:
     """Canonical graph6 lines for the order-n catalog, sorted.
 
-    Both catalogs come from the one cached file of all graphs.
+    Both catalogs come from the one cached file of all graphs, generated
+    across ``jobs`` workers on a miss.
     """
     from .catalog import connected_lines
 
-    lines = _all_graph_lines(n)
+    lines = _all_graph_lines(n, jobs)
     return list(connected_lines(lines)) if connected else lines
 
 
@@ -433,7 +436,7 @@ def _cmd_verify(args: argparse.Namespace, command: str) -> int:
     if args.corpus is not None:
         lines = _corpus_lines(args.corpus)
     else:
-        lines = catalog_lines(_catalog_order(args.order), connected=True)
+        lines = catalog_lines(_catalog_order(args.order), connected=True, jobs=args.jobs)
     task = partial(_verify_task, check=partial(check_many, ids), fmt=args.format)
     results = _map_tasks(task, lines, args.jobs)
     header = ["graph6", "theorem", "status"]
@@ -442,7 +445,7 @@ def _cmd_verify(args: argparse.Namespace, command: str) -> int:
 
 
 def _cmd_generate(args: argparse.Namespace, command: str) -> int:
-    lines = catalog_lines(_catalog_order(args.order), connected=not args.all)
+    lines = catalog_lines(_catalog_order(args.order), connected=not args.all, jobs=args.jobs)
     sys.stdout.write("\n".join(lines) + "\n")
     return EXIT_OK
 
@@ -475,7 +478,7 @@ def _cmd_counterexamples(args: argparse.Namespace, command: str) -> int:
 
 def _cmd_search(args: argparse.Namespace, command: str) -> int:
     n = _catalog_order(args.order)
-    lines = catalog_lines(n)
+    lines = catalog_lines(n, jobs=args.jobs)
     found = _map_tasks(partial(_search_task, mode=args.mode), lines, args.jobs)
     entries = [(g6, values) for g6, values in zip(lines, found) if values is not None]
     if args.mode == "max_tau_i":

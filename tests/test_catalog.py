@@ -8,6 +8,7 @@ import pytest
 from itdom import (
     Graph,
     canonical_form,
+    complement,
     complete,
     complete_bipartite,
     cycle,
@@ -228,3 +229,86 @@ def test_catalog_cross_checked_against_networkx_atlas():
 
     assert_one_to_one([g for g in by_order[6] if nx.is_connected(g)], enumerate_connected_graphs(6))
     assert_one_to_one(by_order[6], enumerate_graphs(6))
+
+
+def _partitions(n, largest=None):
+    """The partitions of n into parts of at most ``largest``, largest part first."""
+    if n == 0:
+        yield ()
+        return
+    for part in range(min(n, largest or n), 0, -1):
+        for rest in _partitions(n - part, part):
+            yield (part,) + rest
+
+
+def _cliques(parts):
+    g = complete(parts[0])
+    for part in parts[1:]:
+        g = disjoint_union(g, complete(part))
+    return g
+
+
+def _threshold(n, dominating):
+    """Vertex v joins all of 0..v-1 when bit v of ``dominating`` is set, and none when clear."""
+    return Graph(n, [(u, v) for v in range(n) if dominating >> v & 1 for u in range(v)])
+
+
+def _twin_rich_graphs(n):
+    """The order-n threshold graphs, disjoint unions of cliques and their
+    complements, the complete multipartite graphs (K_n minus a perfect
+    matching among them), the star, K_{a,b} and C4 + K_{n-4}, each once by
+    adjacency, built with twins on consecutive labels."""
+    graphs = [_threshold(n, bits) for bits in range(0, 1 << n, 2)]
+    for parts in _partitions(n):
+        graphs += [_cliques(parts), complement(_cliques(parts))]  # K_n - matching: parts of 2
+    if n >= 2:
+        graphs.append(star(n - 1))
+        graphs += [complete_bipartite(a, n - a) for a in range(1, n // 2 + 1)]
+    if n >= 4:
+        graphs.append(cycle(4) if n == 4 else disjoint_union(cycle(4), complete(n - 4)))
+    return list({g.adj: g for g in graphs}.values())
+
+
+def test_canonical_cols_match_permutation_definition_on_twin_rich_graphs():
+    # the random graphs of the test above rarely have twins
+    rng = random.Random(2525)
+    for n in range(1, 8):
+        for g in _twin_rich_graphs(n):
+            want = brute_canonical_cols(g)
+            assert _canonical_cols(g.adj, g.n) == want, g
+            relabeled = permute(g, random_permutation(rng, n))
+            assert _canonical_cols(relabeled.adj, n) == want, relabeled
+
+
+def test_twin_filter_keeps_every_canonical_child_of_twin_rich_parents():
+    parents = {canonical_form(g) for m in (5, 6, 7) for g in _twin_rich_graphs(m)}
+    kept = 0
+    for parent in parents:
+        m = parent.n
+        candidates = dict(_children(parent.adj, m))
+        for row in range(1 << m):
+            child = tuple(r | ((row >> v) & 1) << m for v, r in enumerate(parent.adj)) + (row,)
+            own = tuple(sum(((child[j] >> i) & 1) << (j - 1 - i) for i in range(j)) for j in range(1, m + 1))
+            canonical = _canonical_cols(child, m + 1) == own
+            assert (_canonical_cols(child, m + 1, own) is not None) == canonical, (parent, row)
+            if canonical:
+                assert candidates.get(own) == child, (parent, row)
+                kept += 1
+    assert kept > len(parents)
+
+
+def test_children_of_the_empty_graph_are_its_suffix_joins():
+    # Every two vertices of an edgeless parent are twins, so a new vertex's
+    # neighbours must be a suffix of the labels: m + 1 candidates, not 2^m.
+    for m in range(1, 9):
+        assert len(list(_children(Graph(m).adj, m))) == m + 1
+
+
+def test_twin_pruned_walk_reaches_order_12():
+    # Without the twin rule the frontiers of these graphs hold n! prefixes.
+    assert _canonical_cols(Graph(12).adj, 12) == (0,) * 11
+    assert _canonical_cols(complete(12).adj, 12) == tuple((1 << j) - 1 for j in range(1, 12))
+    rng = random.Random(1212)
+    k66 = complete_bipartite(6, 6)
+    relabelings = {_canonical_cols(permute(k66, random_permutation(rng, 12)).adj, 12) for _ in range(3)}
+    assert relabelings == {_canonical_cols(k66.adj, 12)}

@@ -7,11 +7,13 @@ import importlib.util
 import io
 import json
 import os
+import shutil
 import subprocess
 import sys
 import textwrap
 import tracemalloc
 from pathlib import Path
+from types import SimpleNamespace
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
@@ -413,14 +415,16 @@ def test_jobs_must_be_positive(capsys, jobs):
     assert "--jobs" in capsys.readouterr().err
 
 
-def test_no_more_workers_than_items(capsys, monkeypatch, tmp_path):
-    started = []
+@pytest.fixture
+def inline_pool(monkeypatch):
+    """Process pools run their work in this process; returns the record of
+    each pool's worker count (``started``) and of what it mapped (``mapped``:
+    function and items)."""
+    record = SimpleNamespace(started=[], mapped=[])
 
     class InlineExecutor:
-        """Records its worker count and runs the work in this process."""
-
         def __init__(self, max_workers):
-            started.append(max_workers)
+            record.started.append(max_workers)
 
         def __enter__(self):
             return self
@@ -429,9 +433,15 @@ def test_no_more_workers_than_items(capsys, monkeypatch, tmp_path):
             return False
 
         def map(self, fn, items, chunksize=1):
+            record.mapped.append((fn, list(items)))
             return map(fn, items)
 
     monkeypatch.setattr("concurrent.futures.ProcessPoolExecutor", InlineExecutor)
+    return record
+
+
+def test_no_more_workers_than_items(capsys, inline_pool, tmp_path):
+    started = inline_pool.started
     corpus = tmp_path / "two.g6"
     corpus.write_text("Cl\nCs\n")
     code, out, _ = run_cli(capsys, "verify", "--corpus", str(corpus), "--jobs", "8")
@@ -587,6 +597,34 @@ def test_generate_from_an_empty_cache_matches_a_warm_run(capsys, monkeypatch, tm
     code, warm, _ = run_cli(capsys, "generate", "--order", "5", "--all")
     assert code == 0
     assert lines(warm) == lines(cold)
+
+
+def test_catalog_generation_splits_the_parents_across_jobs(capsys, inline_pool, tmp_path):
+    code, serial, _ = run_cli(capsys, "generate", "--order", "7", "--all", "--jobs", "1")
+    assert code == 0 and inline_pool.started == []
+    shutil.rmtree(tmp_path / "cache")
+    code, split, _ = run_cli(capsys, "generate", "--order", "7", "--all", "--jobs", "2")
+    assert code == 0
+    assert lines(split) == lines(serial)
+    assert hashlib.sha256(split.encode()).hexdigest() == CATALOG_SHA256[7]
+    assert inline_pool.started == [2]
+    assert inline_pool.mapped == [(catalog.canonical_children, list(catalog.enumerate_graphs(6)))]
+
+
+def test_catalog_generation_in_spawned_workers(capsys, monkeypatch):
+    # A spawned worker imports ``catalog`` when it unpickles the per-parent function.
+    import concurrent.futures
+    import multiprocessing
+
+    pool = concurrent.futures.ProcessPoolExecutor
+    spawn = multiprocessing.get_context("spawn")
+    monkeypatch.setattr(
+        "concurrent.futures.ProcessPoolExecutor",
+        lambda max_workers: pool(max_workers, mp_context=spawn),
+    )
+    code, out, _ = run_cli(capsys, "generate", "--order", "6", "--all", "--jobs", "2")
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == CATALOG_SHA256[6]
 
 
 def test_no_cache_flag_is_rejected(capsys):
